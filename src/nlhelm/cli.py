@@ -295,6 +295,8 @@ def _report_dict(report: solvers.SolveReport, runtime: float) -> dict:
         "iterations": report.iterations,
         "max_amplitude": report.max_amplitude,
         "divergence_reason": report.divergence_reason,
+        "factorizations": report.factorizations,
+        "krylov_iterations": report.krylov_iterations,
         "runtime_seconds": runtime,
         "history": [
             {

@@ -47,7 +47,6 @@ from .stencils import apply_stencil, central
 
 __all__ = [
     "HelmholtzProblem",
-    "build_problem_nd",
     "solve_nd",
     "assemble_residual",
     "assemble_jacobian",
@@ -243,14 +242,6 @@ class HelmholtzProblem(KerrSystem):
             out[:, l] = scipy.linalg.solve_banded(
                 (1, 1), self._mode_bands[l], U[:, l])
         return (out @ eig.modes.T).reshape(-1)
-
-
-def build_problem_nd(grid: GridMultiD, mat: MaterialStack,
-                     einc_left: np.ndarray | None = None,
-                     einc_right: np.ndarray | None = None,
-                     bottom: TransverseClosure | None = None,
-                     top: TransverseClosure | None = None) -> HelmholtzProblem:
-    return HelmholtzProblem(grid, mat, einc_left, einc_right, bottom, top)
 
 
 def solve_nd(grid: GridMultiD, mat: MaterialStack,

@@ -10,6 +10,11 @@ Three strategies share one problem interface (see _system.KerrSystem):
   short fixed-point sweep preconditioned by the uniform (vacuum) operator,
   which is inverted by separation of variables.
 
+On systems of at least REUSE_MIN_UNKNOWNS real unknowns, newton_solve keeps
+the last LU of its Jacobian and solves later steps by GMRES preconditioned
+with it, refactoring only when a Krylov solve is slow or misses the residual
+contract of sparse_lu_solve.
+
 All three return (field, SolveReport) and never raise on non-convergence;
 controlled failure is reported through the SolveReport.
 """
@@ -72,15 +77,49 @@ class SolveReport:
     iterations: int
     history: list[HistoryEntry] = field(default_factory=list)
     max_amplitude: float = 0.0
-    cond_estimate: float | None = None
-    divergence_reason: str | None = None  # "MaxIter" | "NaN" | "LinearSolveFail"
+    # "MaxIter" | "NaN" | "LinearSolveFail" | "OutOfMemory"
+    divergence_reason: str | None = None
+    factorizations: int = 0       # sparse LU factorizations behind accepted steps
+    krylov_iterations: int = 0    # GMRES inner iterations over all steps
 
 
-def sparse_lu_solve(J: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+# Newton systems with at least this many real unknowns reuse their last LU as
+# a GMRES preconditioner; below it one LU per step is cheaper than the Krylov
+# bookkeeping. It sits between the largest 1D systems (~4,000) and the 2D
+# desk problems (>= 12,000).
+REUSE_MIN_UNKNOWNS = 10_000
+KRYLOV_RESTART = 20
+# a preconditioned solve slower than this means the factor has gone stale
+REFACTOR_ITERATIONS = 15
+# GMRES stops at this fraction of the contract bound, in the 2-norm (which
+# bounds the inf-norm), so accepted steps track the direct ones to ~1e-12
+KRYLOV_TARGET = 1e-2
+
+
+def _contract_bound(J: sp.spmatrix, x: np.ndarray, rhs: np.ndarray) -> float:
+    """Largest inf-norm residual a linear solve may leave:
+    1e-10 (||J||_inf ||x||_inf + ||rhs||_inf)."""
+    return 1e-10 * (np.abs(J).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max())
+
+
+def _contract_violation(J: sp.spmatrix, x: np.ndarray, rhs: np.ndarray) -> str | None:
+    """Why x fails the residual contract of a linear solve, or None if it
+    meets it."""
+    if not np.all(np.isfinite(x.view(np.float64) if np.iscomplexobj(x) else x)):
+        return "produced non-finite values"
+    resid = np.abs(J @ x - rhs).max()
+    bound = _contract_bound(J, x, rhs)
+    if resid > bound:
+        return f"residual {resid:.3e} exceeds contract bound {bound:.3e}"
+    return None
+
+
+def sparse_lu_solve(J: sp.spmatrix, rhs: np.ndarray, *, return_factor: bool = False):
     """Direct sparse solve with a residual acceptance contract.
 
     Raises SingularMatrix if factorization fails or the solution residual
-    exceeds 1e-10 * (||J||_inf ||x||_inf + ||rhs||_inf).
+    exceeds 1e-10 * (||J||_inf ||x||_inf + ||rhs||_inf). Returns x, or
+    (x, lu) with the SuperLU factor when return_factor is set.
     """
     rhs = np.asarray(rhs).reshape(-1)
     try:
@@ -88,16 +127,34 @@ def sparse_lu_solve(J: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
         x = lu.solve(rhs)
     except (RuntimeError, ValueError) as exc:
         raise SingularMatrix(f"sparse LU failed: {exc}") from exc
-    if not np.all(np.isfinite(x.view(np.float64) if np.iscomplexobj(x) else x)):
-        raise SingularMatrix("sparse LU produced non-finite values")
-    norm_J = np.abs(J).sum(axis=1).max()
-    resid = np.abs(J @ x - rhs).max()
-    bound = 1e-10 * (norm_J * np.abs(x).max() + np.abs(rhs).max())
-    if resid > bound:
-        raise SingularMatrix(
-            f"sparse LU residual {resid:.3e} exceeds contract bound {bound:.3e}"
-        )
-    return x
+    violation = _contract_violation(J, x, rhs)
+    if violation is not None:
+        raise SingularMatrix(f"sparse LU {violation}")
+    return (x, lu) if return_factor else x
+
+
+def _krylov_solve(J: sp.spmatrix, rhs: np.ndarray, lu) -> tuple[np.ndarray | None, int]:
+    """One restart cycle of GMRES on J x = rhs, preconditioned by the LU of an
+    earlier Jacobian and started from lu.solve(rhs).
+
+    Returns (x, inner iterations); x is None unless it meets the residual
+    contract of sparse_lu_solve.
+    """
+    x0 = lu.solve(rhs)
+    if _contract_violation(J, x0, rhs) is None:
+        return x0, 0
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    precond = spla.LinearOperator(J.shape, matvec=lu.solve, dtype=rhs.dtype)
+    x, _ = spla.gmres(J, rhs, x0=x0, M=precond, rtol=0.0,
+                      atol=KRYLOV_TARGET * _contract_bound(J, x0, rhs),
+                      restart=KRYLOV_RESTART, maxiter=1,
+                      callback=count, callback_type="pr_norm")
+    return (x if _contract_violation(J, x, rhs) is None else None), iterations
 
 
 def _initial_field(problem: KerrSystem, config: NewtonConfig) -> np.ndarray:
@@ -112,13 +169,16 @@ def _initial_field(problem: KerrSystem, config: NewtonConfig) -> np.ndarray:
 
 
 def _finish(problem: KerrSystem, e: np.ndarray, converged: bool,
-            history: list[HistoryEntry], reason: str | None):
+            history: list[HistoryEntry], reason: str | None,
+            factorizations: int = 0, krylov_iterations: int = 0):
     report = SolveReport(
         converged=converged,
         iterations=len(history),
         history=history,
         max_amplitude=float(np.abs(e).max()) if e.size else 0.0,
         divergence_reason=None if converged else reason,
+        factorizations=factorizations,
+        krylov_iterations=krylov_iterations,
     )
     return e.reshape(problem.field_shape), report
 
@@ -126,12 +186,20 @@ def _finish(problem: KerrSystem, e: np.ndarray, converged: bool,
 def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     """Relaxed Newton iteration: delta = -J^{-1} F, step omega/max(1, ||delta||)
     while ||delta||_inf >= switch_threshold, full steps after; converged when
-    ||delta||_inf < convergence_tol."""
+    ||delta||_inf < convergence_tol.
+
+    Large systems (see REUSE_MIN_UNKNOWNS) solve for delta by GMRES
+    preconditioned with the last LU while that stays within
+    REFACTOR_ITERATIONS iterations; a step whose Krylov solve misses the
+    residual contract is factored afresh."""
     config = config or NewtonConfig()
     e = _initial_field(problem, config)
     history: list[HistoryEntry] = []
     reason = "MaxIter"
     converged = False
+    reuse = 2 * problem.size >= REUSE_MIN_UNKNOWNS
+    lu = None
+    factorizations = krylov_iterations = 0
     for _ in range(config.max_iterations):
         F = problem.residual_complex(e)
         resid_norm = float(np.abs(F).max())
@@ -139,10 +207,24 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
             reason = "NaN"
             break
         J = problem.jacobian_real(e)
+        rhs = -to_real_split(F)
+        d = None
         try:
-            d = sparse_lu_solve(J, -to_real_split(F))
+            if lu is not None:
+                d, its = _krylov_solve(J, rhs, lu)
+                krylov_iterations += its
+                if d is None or its > REFACTOR_ITERATIONS:
+                    lu = None  # stale; dropped before splu so one factor is alive
+            if d is None:
+                d, lu = sparse_lu_solve(J, rhs, return_factor=True)
+                factorizations += 1
+                if not reuse:
+                    lu = None
         except SingularMatrix:
             reason = "LinearSolveFail"
+            break
+        except MemoryError:
+            reason = "OutOfMemory"
             break
         delta = from_real_split(d, (problem.size,))
         step_norm = float(np.abs(delta).max())
@@ -158,7 +240,8 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
         if step_norm < config.convergence_tol:
             converged = True
             break
-    return _finish(problem, e, converged, history, reason)
+    return _finish(problem, e, converged, history, reason,
+                   factorizations, krylov_iterations)
 
 
 def freezing_solve(problem: KerrSystem, config: NewtonConfig | None = None):
@@ -170,6 +253,7 @@ def freezing_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     history: list[HistoryEntry] = []
     reason = "MaxIter"
     converged = False
+    factorizations = 0
     for _ in range(config.max_iterations):
         w = problem.kerr_weights(e)
         if not np.all(np.isfinite(w)):
@@ -181,6 +265,10 @@ def freezing_solve(problem: KerrSystem, config: NewtonConfig | None = None):
         except SingularMatrix:
             reason = "LinearSolveFail"
             break
+        except MemoryError:
+            reason = "OutOfMemory"
+            break
+        factorizations += 1
         delta = float(np.abs(e_new - e).max())
         resid_norm = float(np.abs(problem.residual_complex(e_new)).max())
         e = e_new
@@ -194,7 +282,7 @@ def freezing_solve(problem: KerrSystem, config: NewtonConfig | None = None):
         if delta < config.convergence_tol:
             converged = True
             break
-    return _finish(problem, e, converged, history, reason)
+    return _finish(problem, e, converged, history, reason, factorizations)
 
 
 def born_solve(problem: KerrSystem, config: NewtonConfig | None = None):

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from nlhelm import ConfigError, build_grid_1d, build_grid_multi
 from nlhelm.cli import (
@@ -232,6 +233,8 @@ class TestSolveCommand:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["converged"] is True
         assert report["iterations"] == len(report["history"])
+        assert report["factorizations"] == report["iterations"]
+        assert report["krylov_iterations"] == 0
         header, E = read_field(out_dir / "field.bin")
         assert header["N"] == raw["N"]
         assert np.abs(E).max() == pytest.approx(report["max_amplitude"])
@@ -258,6 +261,20 @@ class TestSolveCommand:
         assert len(report["history"]) == report["iterations"]
         assert (tmp_path / "out" / "field.bin").exists()
         assert "did not converge" in capsys.readouterr().out
+
+    def test_out_of_memory_exits_two_with_report(self, tmp_path, capsys, monkeypatch):
+        def splu(*args, **kwargs):
+            raise MemoryError("out of memory")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+        path, _ = write_config(tmp_path, name="no-memory")
+        assert main(["solve", str(path)]) == 2
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["converged"] is False
+        assert report["divergence_reason"] == "OutOfMemory"
+        assert report["factorizations"] == 0
+        assert (tmp_path / "out" / "field.bin").exists()
+        assert "OutOfMemory" in capsys.readouterr().out
 
     def test_malformed_config_exits_one(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, geometry="spherical")
