@@ -1,4 +1,7 @@
-"""Internal: assembled-system container shared by the 1D and multi-D problems.
+"""Internal: assembled-system container of the discrete problems.
+
+`helmholtz_nd.HelmholtzProblem` assembles every geometry, the 1D slab
+included (`helmholtz_1d.Problem1D` wraps its single-column case).
 
 A discrete problem is F(E) = A_lin E + C P(E) - b, with E the complex field
 flattened n-major, P(E) = |E|^{2 sigma} E applied pointwise, A_lin the

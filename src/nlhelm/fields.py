@@ -238,7 +238,7 @@ def classify_nodes(grid, mat: MaterialStack) -> list[NodeClass]:
 
     Every partition point (including the slab edges 0 and N) is INTERFACE,
     regardless of whether the coefficients actually jump there; the
-    assemblers separately fall back to the ordinary compact row when the
+    assembler separately falls back to the ordinary compact row when the
     materials match across a partition point, since smoothness then makes
     it fourth-order accurate.
     """

@@ -1,25 +1,29 @@
 """One-dimensional nonlinear Helmholtz boundary-value problem.
 
-Compact 4th-order rows in the layers and exterior, 7-node one-sided rows at
-material interfaces, and two-way boundary rows that inject the prescribed
-incoming waves while passing outgoing waves through the discrete dispersion
-root q. Also provides an exact transfer-matrix oracle for linear stacks.
+The slab is the single-column case of the multi-dimensional scheme:
+`Problem1D` assembles one transverse node with mirror closures on both
+walls through `helmholtz_nd`, which gives the compact 4th-order rows in the
+layers and exterior, the 7-node one-sided rows at material interfaces, and
+the two-way boundary rows that inject the prescribed incoming waves while
+passing outgoing waves through the discrete dispersion root q. This module
+adds the 1D front end, the closure data for R/T extraction, and an exact
+transfer-matrix oracle for linear stacks.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from . import solvers
 from ._system import KerrSystem
-from .errors import DegenerateRoot, OracleRequiresLinear, UnresolvedWave
-from .fields import (Grid1D, MaterialStack, NodeClass, classify_nodes,
-                     homogeneous_stack, sample_material)
+from .errors import OracleRequiresLinear
+from .fields import Grid1D, GridMultiD, MaterialStack
+from .helmholtz_nd import HelmholtzProblem
+from .transverse import root_from_ksq, symmetric_closure
 
 __all__ = [
     "Abc1DClosure",
@@ -32,10 +36,6 @@ __all__ = [
     "solve_1d",
     "extract_reflection_transmission",
 ]
-
-# 7-node interface combination: difference of the two one-sided first
-# derivatives, already multiplied by 66 (divide by 66 h when applying)
-_IFACE_W = np.array([4.0, -27.0, 108.0, -170.0, 108.0, -27.0, 4.0]) / 66.0
 
 
 @dataclass(frozen=True)
@@ -60,32 +60,6 @@ class Incoming1D:
     EincR: complex = 0.0
 
 
-def root_from_ksq(k_sq: complex, h: float) -> complex:
-    """Root of q + 1/q = 2 - k^2 h^2 on the outgoing/damped branch.
-
-    Used directly by the transverse-mode boundary conditions where k^2 may be
-    complex. Branch rule: if both roots sit on the unit circle (propagating
-    mode) take Im q > 0 (the forward wave); otherwise take |q| < 1 so the
-    outgoing branch decays away from the slab.
-    """
-    k2h2 = complex(k_sq) * h * h
-    if abs(k2h2.imag) <= 1e-14 * max(1.0, abs(k2h2.real)) and k2h2.real >= 4.0:
-        raise UnresolvedWave(
-            f"k^2 h^2 = {k2h2.real:.6g} >= 4: wave not resolved by the grid"
-        )
-    if abs(k2h2 - 2.0) < 1e-14 * max(1.0, abs(k2h2)):
-        raise DegenerateRoot("k^2 h^2 = 2: characteristic parameterization singular")
-    s = 2.0 - k2h2
-    d = cmath.sqrt(s * s - 4.0)
-    if (s.conjugate() * d).real < 0.0:
-        d = -d
-    q_big = (s + d) / 2.0  # |q_big| >= 1, no cancellation
-    q_small = 1.0 / q_big
-    if abs(abs(q_big) - 1.0) <= 1e-12 and abs(abs(q_small) - 1.0) <= 1e-12:
-        return q_big if q_big.imag > 0 else q_small
-    return q_small
-
-
 def characteristic_root(k0: float, h: float) -> Abc1DClosure:
     """Discrete dispersion root for the exterior medium.
 
@@ -98,76 +72,33 @@ def characteristic_root(k0: float, h: float) -> Abc1DClosure:
     return Abc1DClosure(q=root_from_ksq(k_sq, h))
 
 
-# --- assembly ---------------------------------------------------------------
-
-def _build_matrices(grid: Grid1D, mat: MaterialStack, inc: Incoming1D):
-    """(A_lin, C, b, closure): complex system A_lin E + C P(E) = b."""
-    N, h = grid.N, grid.h
-    k0 = mat.k0
-    R = grid.num_nodes
-    closure = characteristic_root(k0, h)
-    q = closure.q
-    c = (1.0 + k0 * k0 * h * h / 12.0) / (h * h)
-
-    classes = classify_nodes(grid, mat)
-    A = sp.lil_matrix((R, R), dtype=np.complex128)
-    C = sp.lil_matrix((R, R), dtype=np.complex128)
-    b = np.zeros(R, dtype=np.complex128)
-
-    # boundary rows: exterior compact row with the ghost eliminated through q
-    for r, einc in ((0, inc.EincL), (R - 1, inc.EincR)):
-        inner = 1 if r == 0 else R - 2
-        A[r, r] = -2.0 * c + c * q + k0 * k0
-        A[r, inner] = c
-        b[r] = -c * closure.injection_weight * einc
-
-    for n in range(-2, N + 3):
-        r = grid.index(n)
-        nu_l, eps_l = sample_material(mat, grid, n, "left")
-        nu_r, eps_r = sample_material(mat, grid, n, "right")
-        if classes[r] is NodeClass.INTERFACE and (nu_l != nu_r or eps_l != eps_r):
-            # genuine material jump: one-sided derivative matching row
-            for j, w in zip(range(-3, 4), _IFACE_W):
-                A[r, r + j] += w / h
-            A[r, r] += (6.0 * h * k0 * k0 / 11.0) * 0.5 * (nu_l**2 + nu_r**2)
-            C[r, r] += (6.0 * h * k0 * k0 / 11.0) * 0.5 * (eps_l + eps_r)
-        else:
-            # compact row; exterior nodes sample as (1, 0) so the same recipe
-            # covers the layers, matched partition nodes and the linear gap
-            W = nu_r * nu_r
-            eps = eps_r
-            off = 1.0 / (h * h) + k0 * k0 * W / 12.0
-            A[r, r - 1] += off
-            A[r, r + 1] += off
-            A[r, r] += -2.0 / (h * h) + (10.0 / 12.0) * k0 * k0 * W
-            if eps != 0.0:
-                C[r, r - 1] += k0 * k0 * eps / 12.0
-                C[r, r + 1] += k0 * k0 * eps / 12.0
-                C[r, r] += (10.0 / 12.0) * k0 * k0 * eps
-    return A.tocsr(), C.tocsr(), b, closure
-
-
 class Problem1D(KerrSystem):
-    """1D system in the solver interface."""
+    """1D system in the solver interface: the single-column multi-D problem.
+
+    The column has a unit transverse step, so the mirrored transverse
+    stencils cancel to rounding level; the field keeps the 1D shape (N+7,).
+    """
 
     def __init__(self, grid: Grid1D, mat: MaterialStack, inc: Incoming1D):
-        A, C, b, closure = _build_matrices(grid, mat, inc)
-        super().__init__(A, C, b, mat.sigma, field_shape=(grid.num_nodes,))
+        closure = characteristic_root(mat.k0, grid.h)
+        column = GridMultiD(N=grid.N, Zmax=grid.Zmax, h_z=grid.h, M=1,
+                            extent=0.5, h_perp=1.0, geometry="cartesian")
+        self._column = HelmholtzProblem(
+            column, mat, einc_left=np.array([inc.EincL]),
+            einc_right=np.array([inc.EincR]),
+            bottom=symmetric_closure(), top=symmetric_closure())
+        super().__init__(self._column.A_lin, self._column.C, self._column.b,
+                         mat.sigma, field_shape=(grid.num_nodes,))
         self.grid = grid
         self.mat = mat
         self.inc = inc
         self.closure = closure
-        self._vacuum_lu = None
 
     def vacuum_operator(self) -> sp.csr_matrix:
-        vac = homogeneous_stack(self.mat.k0, self.grid.Zmax, sigma=self.mat.sigma)
-        A, _, _, _ = _build_matrices(self.grid, vac, self.inc)
-        return A
+        return self._column.vacuum_operator()
 
     def vacuum_solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._vacuum_lu is None:
-            self._vacuum_lu = spla.splu(self.vacuum_operator().tocsc())
-        return self._vacuum_lu.solve(rhs)
+        return self._column.vacuum_solve(rhs)
 
 
 def build_problem_1d(grid: Grid1D, mat: MaterialStack, inc: Incoming1D) -> Problem1D:
@@ -186,8 +117,6 @@ def assemble_1d(grid: Grid1D, mat: MaterialStack, inc: Incoming1D,
 def solve_1d(grid: Grid1D, mat: MaterialStack, inc: Incoming1D,
              config=None, method: str = "newton"):
     """Solve the 1D problem; returns (field, SolveReport)."""
-    from . import solvers  # local import to keep module load order simple
-
     problem = Problem1D(grid, mat, inc)
     return solvers.solve(problem, config=config, method=method)
 

@@ -1,10 +1,10 @@
 """Residual and Jacobian assembly for the 2D Cartesian and cylindrically
-symmetric schemes.
+symmetric schemes, and for the 1D slab as their single-column case.
 
-Longitudinal structure mirrors the 1D module: compact 3-node material rows,
-7-node derivative-matching rows at genuine material jumps, and two-way
-boundary rows at n = -3 and n = N+3. Every longitudinal row carries M
-transverse unknowns; transverse derivatives (through the closures of the
+Longitudinal structure: compact 3-node material rows, 7-node
+derivative-matching rows at genuine material jumps, and two-way boundary
+rows at n = -3 and n = N+3. Every longitudinal row carries M transverse
+unknowns; transverse derivatives (through the closures of the
 transverse module) appear as M x M blocks, so the global operator is built
 as a sum of Kronecker products of longitudinal coupling patterns with
 transverse blocks.
@@ -12,7 +12,8 @@ transverse blocks.
 The boundary rows use the transverse eigensystem: the ghost column one step
 outside the domain is a per-mode combination of incoming injection and
 one-step outward propagation, giving dense M x M blocks at those two rows
-only.
+only. With M=1 and mirror closures on both walls every transverse block is
+a scalar and the system is the slab problem that `helmholtz_1d` exposes.
 
 Unknown ordering is n-major, m-minor; the real split interleaves (Re, Im)
 per node (see fields.to_real_split).
@@ -24,18 +25,18 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from . import solvers
 from ._system import KerrSystem, kerr_block_entries
 from .fields import (
+    EXTERIOR_EPS,
+    EXTERIOR_NU,
     GridMultiD,
     MaterialStack,
-    NodeClass,
-    classify_nodes,
     from_real_split,
-    homogeneous_stack,
+    interface_nodes,
     sample_material,
     to_real_split,
 )
-from .helmholtz_1d import _IFACE_W
 from .transverse import (
     TransverseClosure,
     TransverseEigensystem,
@@ -57,6 +58,10 @@ __all__ = [
     "residual_interface",
 ]
 
+# 7-node interface combination: difference of the two one-sided first
+# derivatives, already multiplied by 66 (divide by 66 h when applying)
+_IFACE_W = np.array([4.0, -27.0, 108.0, -170.0, 108.0, -27.0, 4.0]) / 66.0
+
 
 def _material_rows(grid: GridMultiD, mat: MaterialStack):
     """Per-row recipe for the non-boundary rows n = -2 .. N+2.
@@ -66,12 +71,17 @@ def _material_rows(grid: GridMultiD, mat: MaterialStack):
     coefficient) take the generic compact row, which their smoothness makes
     fourth-order accurate.
     """
-    classes = classify_nodes(grid, mat)
+    nodes = interface_nodes(grid, mat)
+    exterior = (EXTERIOR_NU, EXTERIOR_EPS)
+    # (nu, eps) on each cell [n, n+1], n = -3 .. N+2
+    cells = [exterior] * (nodes[0] + 3)
+    for lay, lo, hi in zip(mat.layers, nodes, nodes[1:]):
+        cells += [(lay.nu, lay.eps)] * (hi - lo)
+    cells += [exterior] * (grid.N + 3 - nodes[-1])
+    partitions = set(nodes)
     rows = []
-    for n in range(-2, grid.N + 3):
-        nu_l, eps_l = sample_material(mat, grid, n, "left")
-        nu_r, eps_r = sample_material(mat, grid, n, "right")
-        if classes[n + 3] is NodeClass.INTERFACE and (nu_l != nu_r or eps_l != eps_r):
+    for n, ((nu_l, eps_l), (nu_r, eps_r)) in enumerate(zip(cells, cells[1:]), start=-2):
+        if n in partitions and (nu_l != nu_r or eps_l != eps_r):
             rows.append(("interface", 0.5 * (nu_l ** 2 + nu_r ** 2),
                          0.5 * (eps_l + eps_r)))
         else:
@@ -221,26 +231,27 @@ class HelmholtzProblem(KerrSystem):
 
     def vacuum_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Invert the vacuum operator by separation of variables: transform
-        each longitudinal row into the transverse eigenbasis, solve M
-        uncoupled tridiagonal systems, transform back."""
+        each longitudinal row into the transverse eigenbasis, solve the M
+        uncoupled tridiagonal systems as one banded system, transform back."""
         grid, eig = self.grid, self.eigensystem
-        R, M, h = grid.num_nodes, grid.M, grid.h_z
-        k0 = self.k0
-        c = (1.0 + k0 * k0 * h * h / 12.0) / (h * h)
+        R, M = grid.num_nodes, grid.M
         if self._mode_bands is None:
-            bands = np.zeros((M, 3, R), dtype=np.complex128)
-            for l in range(M):
-                bands[l, 0, 1:] = c
-                bands[l, 2, :-1] = c
-                bands[l, 1, :] = -2.0 * c + k0 * k0 + eig.eigenvalues[l]
-                bands[l, 1, 0] += c * eig.roots[l]
-                bands[l, 1, -1] += c * eig.roots[l]
-            self._mode_bands = bands
+            h, k0 = grid.h_z, self.k0
+            c = (1.0 + k0 * k0 * h * h / 12.0) / (h * h)
+            # mode-major (3, M*R) bands; the off-diagonals are zero across
+            # mode-block boundaries, so the blocks stay uncoupled
+            bands = np.zeros((3, M, R), dtype=np.complex128)
+            bands[0, :, 1:] = c
+            bands[2, :, :-1] = c
+            bands[1] = (-2.0 * c + k0 * k0 + eig.eigenvalues)[:, None]
+            bands[1, :, 0] += c * eig.roots
+            bands[1, :, -1] += c * eig.roots
+            self._mode_bands = bands.reshape(3, M * R)
         U = rhs.reshape(R, M) @ eig.modes_inverse.T
-        out = np.empty_like(U)
-        for l in range(M):
-            out[:, l] = scipy.linalg.solve_banded(
-                (1, 1), self._mode_bands[l], U[:, l])
+        out = scipy.linalg.solve_banded((1, 1), self._mode_bands, U.T.reshape(-1))
+        # row-major (R, M) as per-mode solves would fill it, so the
+        # back-transform is the same BLAS call, bit for bit
+        out = np.ascontiguousarray(out.reshape(M, R).T)
         return (out @ eig.modes.T).reshape(-1)
 
 
@@ -249,8 +260,6 @@ def solve_nd(grid: GridMultiD, mat: MaterialStack,
              einc_right: np.ndarray | None = None,
              config=None, method: str = "newton"):
     """Build and solve; returns (field (N+7, M), SolveReport)."""
-    from . import solvers
-
     problem = HelmholtzProblem(grid, mat, einc_left, einc_right)
     return solvers.solve(problem, config=config, method=method)
 

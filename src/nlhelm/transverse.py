@@ -18,6 +18,7 @@ Kerr coupling pattern automatically.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,9 +27,9 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.special import hankel1
 
-from .errors import IllConditionedEigenbasis, SingularClosure
+from .errors import (DegenerateRoot, IllConditionedEigenbasis, SingularClosure,
+                     UnresolvedWave)
 from .fields import GridMultiD
-from .helmholtz_1d import root_from_ksq
 from .stencils import central
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "build_transverse_operator",
     "TransverseEigensystem",
     "eigensolve_transverse",
+    "root_from_ksq",
     "abc_ghost_row",
     "default_closures",
 ]
@@ -333,6 +335,32 @@ def abc_ghost_row(eigsys: TransverseEigensystem, uinc: np.ndarray,
     beta = (1.0 / eigsys.roots - eigsys.roots) * eigsys.roots ** (-3)
     return (eigsys.modes @ (beta * np.asarray(uinc, dtype=np.complex128))
             + eigsys.propagation_matrix @ boundary_column)
+
+
+def root_from_ksq(k_sq: complex, h: float) -> complex:
+    """Root of q + 1/q = 2 - k^2 h^2 on the outgoing/damped branch.
+
+    Used per transverse mode by the boundary closure, where k^2 may be
+    complex. Branch rule: if both roots sit on the unit circle (propagating
+    mode) take Im q > 0 (the forward wave); otherwise take |q| < 1 so the
+    outgoing branch decays away from the slab.
+    """
+    k2h2 = complex(k_sq) * h * h
+    if abs(k2h2.imag) <= 1e-14 * max(1.0, abs(k2h2.real)) and k2h2.real >= 4.0:
+        raise UnresolvedWave(
+            f"k^2 h^2 = {k2h2.real:.6g} >= 4: wave not resolved by the grid"
+        )
+    if abs(k2h2 - 2.0) < 1e-14 * max(1.0, abs(k2h2)):
+        raise DegenerateRoot("k^2 h^2 = 2: characteristic parameterization singular")
+    s = 2.0 - k2h2
+    d = cmath.sqrt(s * s - 4.0)
+    if (s.conjugate() * d).real < 0.0:
+        d = -d
+    q_big = (s + d) / 2.0  # |q_big| >= 1, no cancellation
+    q_small = 1.0 / q_big
+    if abs(abs(q_big) - 1.0) <= 1e-12 and abs(abs(q_small) - 1.0) <= 1e-12:
+        return q_big if q_big.imag > 0 else q_small
+    return q_small
 
 
 def eigensolve_transverse(L_perp: np.ndarray | sp.spmatrix, k0: float,

@@ -231,6 +231,7 @@ def test_05_jacobian_matches_directional_finite_difference():
     assert time.perf_counter() - t0 < 10.0
 
 
+@pytest.mark.slow
 def test_06_desk_soliton_flux_and_oscillation(desk_soliton):
     grid, mat, E, report = desk_soliton
     assert report.converged
@@ -256,6 +257,7 @@ def test_07_nonlinear_grid_convergence_rate(convergence_levels):
     assert all(rate >= 3.5 for rate in table.rates)
 
 
+@pytest.mark.slow
 def test_08_collapse_arrested_where_paraxial_model_blows_up(collapse_run):
     grid, mat, E, report = collapse_run
     eps = 0.15
@@ -274,6 +276,7 @@ def test_08_collapse_arrested_where_paraxial_model_blows_up(collapse_run):
     assert nls.z_star is not None and nls.z_star < 9.0
 
 
+@pytest.mark.slow
 def test_09_method_convergence_domains_are_ordered():
     cases = ((16.0, 102), (32.0, 204), (48.0, 306), (64.0, 407),
              (96.0, 611), (128.0, 815))
@@ -290,6 +293,7 @@ def test_09_method_convergence_domains_are_ordered():
     assert largest["born"] < largest["newton"]
 
 
+@pytest.mark.slow
 def test_10_beam_adjustment_improves_entry_profile(desk_soliton, desk_raw):
     grid, _, E_adj, report_adj = desk_soliton
     _, _, E_raw, report_raw = desk_raw
@@ -301,6 +305,7 @@ def test_10_beam_adjustment_improves_entry_profile(desk_soliton, desk_raw):
     assert err_adj < err_raw
 
 
+@pytest.mark.slow
 def test_11_flux_conservation_at_production_resolution(
         desk_soliton, desk_raw, convergence_levels, collapse_run):
     # Beam power must be z-independent to 1% for every converged nonlinear

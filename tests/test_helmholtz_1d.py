@@ -369,6 +369,84 @@ class TestAssembly:
         assert np.array_equal(p_whole.b, p_split.b)
 
 
+class TestClosedFormRows:
+    """Assembled rows against the scheme's formulas, written out here.
+
+    At h = 5/256 a transverse stencil residue left in the single-column
+    system (e.g. from a non-unit transverse step) perturbs the dispersion
+    root enough to move the boundary forcing by ~2e-14, above the 1e-14
+    tolerance used throughout.
+    """
+
+    IFACE_W = np.array([4.0, -27.0, 108.0, -170.0, 108.0, -27.0, 4.0]) / 66.0
+    LAYERS = ((0.0, 1.875, 1.3, 0.08), (1.875, 3.75, 1.1, 0.02),
+              (3.75, 5.0, 1.45, 0.05))
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        mat = MaterialStack(k0=K0, sigma=1.0,
+                            layers=tuple(Layer(*lay) for lay in self.LAYERS))
+        grid = build_grid_1d(5.0, 256)
+        inc = Incoming1D(EincL=0.8 - 0.3j, EincR=0.4 + 0.5j)
+        return grid, inc, build_problem_1d(grid, mat, inc)
+
+    @staticmethod
+    def row(matrix, r):
+        return matrix[r].toarray().ravel()
+
+    def expected(self, grid, entries):
+        out = np.zeros(grid.num_nodes, dtype=complex)
+        for col, value in entries.items():
+            out[col] = value
+        return out
+
+    def test_boundary_rows(self, system):
+        grid, inc, problem = system
+        h = grid.h
+        c = (1.0 + K0**2 * h * h / 12.0) / (h * h)
+        closure = characteristic_root(K0, h)
+        last = grid.num_nodes - 1
+        for r, inner, einc in ((0, 1, inc.EincL), (last, last - 1, inc.EincR)):
+            want = self.expected(grid, {r: -2.0 * c + c * closure.q + K0**2, inner: c})
+            np.testing.assert_allclose(self.row(problem.A_lin, r), want,
+                                       rtol=1e-14, atol=0)
+            assert not self.row(problem.C, r).any()
+            assert problem.b[r] == pytest.approx(
+                -c * closure.injection_weight * einc, rel=1e-14, abs=0)
+        assert np.all(problem.b[1:-1] == 0.0)
+
+    def test_compact_row(self, system):
+        grid, _, problem = system
+        h = grid.h
+        _, _, nu, eps = self.LAYERS[0]
+        r = grid.index(40)
+        off = 1.0 / (h * h) + K0**2 * nu**2 / 12.0
+        diag = -2.0 / (h * h) + (10.0 / 12.0) * K0**2 * nu**2
+        want_a = self.expected(grid, {r - 1: off, r: diag, r + 1: off})
+        want_c = self.expected(grid, {r - 1: K0**2 * eps / 12.0,
+                                      r: (10.0 / 12.0) * K0**2 * eps,
+                                      r + 1: K0**2 * eps / 12.0})
+        np.testing.assert_allclose(self.row(problem.A_lin, r), want_a,
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_allclose(self.row(problem.C, r), want_c,
+                                   rtol=1e-14, atol=0)
+
+    def test_interface_row(self, system):
+        grid, _, problem = system
+        h = grid.h
+        (_, _, nu_l, eps_l), (_, _, nu_r, eps_r) = self.LAYERS[:2]
+        r = grid.index(96)  # z = 1.875
+        weight = 6.0 * h * K0**2 / 11.0
+        entries = {r + j: w / h for j, w in zip(range(-3, 4), self.IFACE_W)}
+        entries[r] += weight * 0.5 * (nu_l**2 + nu_r**2)
+        np.testing.assert_allclose(self.row(problem.A_lin, r),
+                                   self.expected(grid, entries), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(
+            self.row(problem.C, r),
+            self.expected(grid, {r: weight * 0.5 * (eps_l + eps_r)}),
+            rtol=1e-14, atol=0)
+
+
 class TestExtract:
     def test_planted_amplitudes_recovered(self):
         grid = build_grid_1d(5.0, 40)

@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nlhelm import (
     HelmholtzProblem,
@@ -36,6 +37,7 @@ from nlhelm import (
     symmetric_closure,
     to_real_split,
 )
+from nlhelm.helmholtz_nd import _material_rows
 
 K0 = 4.0
 SYM = symmetric_closure()
@@ -322,6 +324,31 @@ class TestSlabReduction:
         assert np.abs(nd.b - oned.b).max() < 1e-12
 
 
+class TestMaterialRows:
+    def test_recipes_match_per_node_sampling(self):
+        # one genuine jump at z = 1.5 and one matched partition point at z = 3
+        mat = MaterialStack(
+            k0=K0,
+            sigma=1.0,
+            layers=(Layer(0.0, 1.5, 1.3, 0.08), Layer(1.5, 3.0, 1.1, 0.02),
+                    Layer(3.0, 4.0, 1.1, 0.02)),
+        )
+        grid = build_grid_1d(4.0, 32)
+        classes = classify_nodes(grid, mat)
+        want = []
+        for n in range(-2, grid.N + 3):
+            nu_l, eps_l = sample_material(mat, grid, n, "left")
+            nu_r, eps_r = sample_material(mat, grid, n, "right")
+            if classes[n + 3] is NodeClass.INTERFACE and (nu_l, eps_l) != (nu_r, eps_r):
+                want.append(("interface", 0.5 * (nu_l**2 + nu_r**2),
+                             0.5 * (eps_l + eps_r)))
+            else:
+                want.append(("generic", nu_r * nu_r, eps_r))
+        rows = _material_rows(grid, mat)
+        assert rows == want
+        assert [kind for kind, _, _ in rows].count("interface") == 3
+
+
 class TestVacuumSolve:
     @pytest.mark.parametrize(
         "geometry,extent", [("cartesian", 6.0), ("cylindrical", 4.0)]
@@ -334,3 +361,29 @@ class TestVacuumSolve:
         x = problem.vacuum_solve(rhs)
         resid = problem.vacuum_operator() @ x - rhs
         assert np.abs(resid).max() < 1e-10 * np.abs(rhs).max()
+
+    @pytest.mark.parametrize(
+        "geometry,extent", [("cartesian", 6.0), ("cylindrical", 4.0)]
+    )
+    def test_one_banded_call_equals_per_mode_solves(self, geometry, extent):
+        # reference: one tridiagonal solve per transverse mode; the banded
+        # call does the same arithmetic, so the results must be identical
+        grid = quiet_grid(4.0, 32, extent, 12, geometry)
+        problem = HelmholtzProblem(grid, vacuum(4.0))
+        eig = problem.eigensystem
+        R, M, h = grid.num_nodes, grid.M, grid.h_z
+        c = (1.0 + K0 * K0 * h * h / 12.0) / (h * h)
+        rng = np.random.default_rng(5)
+        rhs = rng.normal(size=problem.size) + 1j * rng.normal(size=problem.size)
+        U = rhs.reshape(R, M) @ eig.modes_inverse.T
+        out = np.empty_like(U)
+        for l in range(M):
+            bands = np.zeros((3, R), dtype=complex)
+            bands[0, 1:] = c
+            bands[2, :-1] = c
+            bands[1, :] = -2.0 * c + K0 * K0 + eig.eigenvalues[l]
+            bands[1, 0] += c * eig.roots[l]
+            bands[1, -1] += c * eig.roots[l]
+            out[:, l] = scipy.linalg.solve_banded((1, 1), bands, U[:, l])
+        want = (out @ eig.modes.T).reshape(-1)
+        assert np.array_equal(problem.vacuum_solve(rhs), want)
