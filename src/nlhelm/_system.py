@@ -8,6 +8,10 @@ flattened n-major, P(E) = |E|^{2 sigma} E applied pointwise, A_lin the
 field-independent part (difference operators, boundary closures, material
 terms on E) and C the coupling coefficients multiplying P. The solvers in
 `solvers` only see this interface.
+
+A system may carry a mirror: a fixed-point-free involution of the nodes under
+which A_lin, C and b are invariant (to CONTRACT_SCALE). The solvers then solve
+their linear systems for mirror-symmetric updates on one node per orbit.
 """
 
 from __future__ import annotations
@@ -17,7 +21,20 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["KerrSystem", "real_split_matrix", "kerr_block_entries"]
+__all__ = ["KerrSystem", "real_split_matrix", "kerr_block_entries",
+           "mirror_invariant"]
+
+# relative scale of the residual contract of solvers.sparse_lu_solve; a
+# system or field invariant under a mirror to this scale counts as symmetric
+CONTRACT_SCALE = 1e-10
+
+
+def mirror_invariant(x, mirror: np.ndarray) -> bool:
+    """Whether a node vector, or a sparse node-by-node matrix, is invariant
+    under the node permutation `mirror`: the largest entrywise change is
+    within CONTRACT_SCALE of the largest |entry|."""
+    y = x[mirror][:, mirror] if sp.issparse(x) else x[mirror]
+    return abs(y - x).max() <= CONTRACT_SCALE * abs(x).max()
 
 
 def real_split_matrix(A: sp.spmatrix) -> sp.csr_matrix:
@@ -81,6 +98,8 @@ class KerrSystem:
         assert self.b.shape == (self.size,)
         self._A_real: sp.csr_matrix | None = None
         self._C_coo = None
+        # node involution the system is invariant under, or None
+        self.mirror: np.ndarray | None = None
 
     @property
     def has_kerr(self) -> bool:

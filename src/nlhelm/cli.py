@@ -297,6 +297,8 @@ def _report_dict(report: solvers.SolveReport, runtime: float) -> dict:
         "divergence_reason": report.divergence_reason,
         "factorizations": report.factorizations,
         "krylov_iterations": report.krylov_iterations,
+        "lu_fill": report.lu_fill,
+        "mirror_folded": report.mirror_folded,
         "runtime_seconds": runtime,
         "history": [
             {

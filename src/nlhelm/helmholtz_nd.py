@@ -17,6 +17,12 @@ a scalar and the system is the slab problem that `helmholtz_1d` exposes.
 
 Unknown ordering is n-major, m-minor; the real split interleaves (Re, Im)
 per node (see fields.to_real_split).
+
+A Cartesian section with even M whose assembled A_lin, C and b are invariant
+under m <-> M-1-m within each row (a centred, untilted, even beam between
+like walls) gets that reflection as its `mirror`, and the solvers then solve
+their linear systems on half the unknowns; the problem, its field and every
+output stay full size.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import solvers
-from ._system import KerrSystem, kerr_block_entries
+from ._system import KerrSystem, kerr_block_entries, mirror_invariant
 from .fields import (
     EXTERIOR_EPS,
     EXTERIOR_NU,
@@ -203,8 +209,22 @@ class HelmholtzProblem(KerrSystem):
                             self.einc_left, self.einc_right)
         super().__init__(A, C, b, mat.sigma,
                          field_shape=(grid.num_nodes, grid.M))
+        self.mirror = self._section_mirror()
         self._vacuum: sp.csr_matrix | None = None
         self._mode_bands: np.ndarray | None = None
+
+    def _section_mirror(self) -> np.ndarray | None:
+        """m <-> M-1-m within each row, kept only for a Cartesian section
+        with even M (no node on the axis) whose assembled system is
+        invariant under it."""
+        grid = self.grid
+        if grid.geometry != "cartesian" or grid.M % 2:
+            return None
+        rows = np.arange(grid.num_nodes)[:, None] * grid.M
+        mirror = (rows + np.arange(grid.M)[::-1]).reshape(-1)
+        if all(mirror_invariant(x, mirror) for x in (self.b, self.C, self.A_lin)):
+            return mirror
+        return None
 
     def _check_profile(self, einc):
         if einc is None:

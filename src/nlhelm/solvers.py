@@ -15,6 +15,14 @@ the last LU of its Jacobian and solves later steps by GMRES preconditioned
 with it, refactoring only when a Krylov solve is slow or misses the residual
 contract of sparse_lu_solve.
 
+Mirror fold: when the problem carries a mirror (see _system.KerrSystem) and
+the initial field is symmetric under it, newton_solve and freezing_solve
+solve each sparse linear system for a mirror-symmetric solution on one
+unknown per mirror orbit, J_h = J[H] @ S with S the 0/1 unfold matrix, and
+unfold it by a gather. The folded system is the half-section problem with a
+mirror closure on the axis; the residual contract is checked on it. The
+iterate, the residual and the Jacobian stay full size.
+
 All three return (field, SolveReport) and never raise on non-convergence;
 controlled failure is reported through the SolveReport.
 """
@@ -27,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._system import KerrSystem
+from ._system import CONTRACT_SCALE, KerrSystem, mirror_invariant
 from .errors import SingularMatrix
 from .fields import from_real_split, to_real_split
 
@@ -81,6 +89,10 @@ class SolveReport:
     divergence_reason: str | None = None
     factorizations: int = 0       # sparse LU factorizations behind accepted steps
     krylov_iterations: int = 0    # GMRES inner iterations over all steps
+    # largest LU fill, as lu.nnz: the nonzeros SuperLU stores for L and U
+    # (lu.L and lu.U would build CSC copies cached on the reused factor)
+    lu_fill: int = 0
+    mirror_folded: bool = False   # linear systems solved on the mirror fold
 
 
 # Newton systems with at least this many real unknowns reuse their last LU as
@@ -99,7 +111,8 @@ KRYLOV_TARGET = 1e-2
 def _contract_bound(J: sp.spmatrix, x: np.ndarray, rhs: np.ndarray) -> float:
     """Largest inf-norm residual a linear solve may leave:
     1e-10 (||J||_inf ||x||_inf + ||rhs||_inf)."""
-    return 1e-10 * (np.abs(J).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max())
+    return CONTRACT_SCALE * (np.abs(J).sum(axis=1).max() * np.abs(x).max()
+                             + np.abs(rhs).max())
 
 
 def _contract_violation(J: sp.spmatrix, x: np.ndarray, rhs: np.ndarray) -> str | None:
@@ -157,6 +170,30 @@ def _krylov_solve(J: sp.spmatrix, rhs: np.ndarray, lu) -> tuple[np.ndarray | Non
     return (x if _contract_violation(J, x, rhs) is None else None), iterations
 
 
+def _mirror_fold(problem: KerrSystem, e: np.ndarray, real_split: bool):
+    """(H, S, gather) for solving the problem's linear systems on one unknown
+    per orbit of its mirror, or None when it has no mirror or the initial
+    field e is not symmetric under it.
+
+    H lists the orbit representatives, S is the 0/1 unfold matrix (one
+    column per representative, a 1 at both members of its orbit) and gather
+    indexes the full vector from the folded one: for a symmetric solution,
+    J x = rhs is (J[H] @ S) x_h = rhs[H] with x = x_h[gather]. With real_split
+    each node's (Re, Im) pair follows its node.
+    """
+    mirror = problem.mirror
+    if mirror is None or not mirror_invariant(e, mirror):
+        return None
+    if real_split:
+        mirror = (2 * mirror[:, None] + np.arange(2)).reshape(-1)
+    n = mirror.size
+    H = np.flatnonzero(np.arange(n) < mirror)
+    gather = np.empty(n, dtype=np.int64)
+    gather[H] = gather[mirror[H]] = np.arange(H.size)
+    S = sp.csr_matrix((np.ones(n), (np.arange(n), gather)), shape=(n, H.size))
+    return H, S, gather
+
+
 def _initial_field(problem: KerrSystem, config: NewtonConfig) -> np.ndarray:
     if config.initial_guess is None:
         return np.zeros(problem.size, dtype=np.complex128)
@@ -169,16 +206,15 @@ def _initial_field(problem: KerrSystem, config: NewtonConfig) -> np.ndarray:
 
 
 def _finish(problem: KerrSystem, e: np.ndarray, converged: bool,
-            history: list[HistoryEntry], reason: str | None,
-            factorizations: int = 0, krylov_iterations: int = 0):
+            history: list[HistoryEntry], reason: str | None, **counts):
+    """(field, SolveReport); counts are the SolveReport's telemetry fields."""
     report = SolveReport(
         converged=converged,
         iterations=len(history),
         history=history,
         max_amplitude=float(np.abs(e).max()) if e.size else 0.0,
         divergence_reason=None if converged else reason,
-        factorizations=factorizations,
-        krylov_iterations=krylov_iterations,
+        **counts,
     )
     return e.reshape(problem.field_shape), report
 
@@ -191,15 +227,19 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     Large systems (see REUSE_MIN_UNKNOWNS) solve for delta by GMRES
     preconditioned with the last LU while that stays within
     REFACTOR_ITERATIONS iterations; a step whose Krylov solve misses the
-    residual contract is factored afresh."""
+    residual contract is factored afresh. A mirror-symmetric problem solves
+    for delta on its mirror fold."""
     config = config or NewtonConfig()
     e = _initial_field(problem, config)
     history: list[HistoryEntry] = []
     reason = "MaxIter"
     converged = False
     reuse = 2 * problem.size >= REUSE_MIN_UNKNOWNS
+    fold = _mirror_fold(problem, e, real_split=True)
+    if fold is not None:
+        H, S, gather = fold
     lu = None
-    factorizations = krylov_iterations = 0
+    factorizations = krylov_iterations = lu_fill = 0
     for _ in range(config.max_iterations):
         F = problem.residual_complex(e)
         resid_norm = float(np.abs(F).max())
@@ -208,6 +248,8 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
             break
         J = problem.jacobian_real(e)
         rhs = -to_real_split(F)
+        if fold is not None:
+            J, rhs = J[H] @ S, rhs[H]
         d = None
         try:
             if lu is not None:
@@ -218,6 +260,7 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
             if d is None:
                 d, lu = sparse_lu_solve(J, rhs, return_factor=True)
                 factorizations += 1
+                lu_fill = max(lu_fill, lu.nnz)
                 if not reuse:
                     lu = None
         except SingularMatrix:
@@ -226,6 +269,8 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
         except MemoryError:
             reason = "OutOfMemory"
             break
+        if fold is not None:
+            d = d[gather]
         delta = from_real_split(d, (problem.size,))
         step_norm = float(np.abs(delta).max())
         if not np.isfinite(step_norm):
@@ -241,27 +286,36 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
             converged = True
             break
     return _finish(problem, e, converged, history, reason,
-                   factorizations, krylov_iterations)
+                   factorizations=factorizations,
+                   krylov_iterations=krylov_iterations, lu_fill=lu_fill,
+                   mirror_folded=fold is not None)
 
 
 def freezing_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     """Outer fixed-point iteration on the frozen-coefficient linear system:
     solve (A_lin + C diag(|E^j|^{2 sigma})) E^{j+1} = b until the iterates
-    stop moving."""
+    stop moving. A mirror-symmetric problem solves on its mirror fold."""
     config = config or NewtonConfig()
     e = _initial_field(problem, config)
     history: list[HistoryEntry] = []
     reason = "MaxIter"
     converged = False
-    factorizations = 0
+    fold = _mirror_fold(problem, e, real_split=False)
+    b = problem.b
+    if fold is not None:
+        H, S, gather = fold
+        b = b[H]
+    factorizations = lu_fill = 0
     for _ in range(config.max_iterations):
         w = problem.kerr_weights(e)
         if not np.all(np.isfinite(w)):
             reason = "NaN"
             break
         A = problem.frozen_operator(w)
+        if fold is not None:
+            A = A[H] @ S
         try:
-            e_new = sparse_lu_solve(A, problem.b)
+            e_new, lu = sparse_lu_solve(A, b, return_factor=True)
         except SingularMatrix:
             reason = "LinearSolveFail"
             break
@@ -269,6 +323,10 @@ def freezing_solve(problem: KerrSystem, config: NewtonConfig | None = None):
             reason = "OutOfMemory"
             break
         factorizations += 1
+        lu_fill = max(lu_fill, lu.nnz)
+        lu = None  # the next factorization must not overlap this one
+        if fold is not None:
+            e_new = e_new[gather]
         delta = float(np.abs(e_new - e).max())
         resid_norm = float(np.abs(problem.residual_complex(e_new)).max())
         e = e_new
@@ -282,7 +340,9 @@ def freezing_solve(problem: KerrSystem, config: NewtonConfig | None = None):
         if delta < config.convergence_tol:
             converged = True
             break
-    return _finish(problem, e, converged, history, reason, factorizations)
+    return _finish(problem, e, converged, history, reason,
+                   factorizations=factorizations, lu_fill=lu_fill,
+                   mirror_folded=fold is not None)
 
 
 def born_solve(problem: KerrSystem, config: NewtonConfig | None = None):

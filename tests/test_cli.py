@@ -235,6 +235,8 @@ class TestSolveCommand:
         assert report["iterations"] == len(report["history"])
         assert report["factorizations"] == report["iterations"]
         assert report["krylov_iterations"] == 0
+        assert report["lu_fill"] > 0
+        assert report["mirror_folded"] is False
         header, E = read_field(out_dir / "field.bin")
         assert header["N"] == raw["N"]
         assert np.abs(E).max() == pytest.approx(report["max_amplitude"])
@@ -259,8 +261,29 @@ class TestSolveCommand:
         assert report["converged"] is False
         assert report["divergence_reason"]
         assert len(report["history"]) == report["iterations"]
+        assert report["lu_fill"] == 0
         assert (tmp_path / "out" / "field.bin").exists()
         assert "did not converge" in capsys.readouterr().out
+
+    def test_mirror_symmetric_run_reports_fold(self, tmp_path, capsys):
+        # a centred, untilted beam on a Cartesian section is solved folded
+        path, _ = write_config(
+            tmp_path,
+            name="folded",
+            geometry="cartesian",
+            Zmax=2.0,
+            N=30,
+            extent=6.0,
+            M=60,
+            layers=[{"z_from": 0.0, "z_to": 2.0, "nu": 1.0, "eps": 0.0625}],
+            beam_left={"shape": "sech", "r0": math.sqrt(2.0), "adjust": True},
+        )
+        assert main(["solve", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["mirror_folded"] is True
+        assert report["lu_fill"] > 0
+        _, E = read_field(tmp_path / "out" / "field.bin")
+        assert np.array_equal(E, E[:, ::-1])
 
     def test_out_of_memory_exits_two_with_report(self, tmp_path, capsys, monkeypatch):
         def splu(*args, **kwargs):

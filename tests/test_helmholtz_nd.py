@@ -6,6 +6,7 @@ Oracles: exact plane waves and mode fields, finite differences for the
 Jacobian, and closed-form Wirtinger derivatives for the Kerr blocks.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 import scipy.linalg
 
 from nlhelm import (
+    BeamSpec,
     HelmholtzProblem,
     Incoming1D,
     Layer,
@@ -28,6 +30,7 @@ from nlhelm import (
     eigensolve_transverse,
     from_real_split,
     kerr_jacobian_block,
+    make_incoming,
     residual_exterior,
     residual_interface,
     residual_interior_cartesian,
@@ -308,6 +311,35 @@ class TestAssembledSystem:
         assert dn <= 1
         dn, dm = deltas(-3, 6)       # two-way boundary row
         assert dn <= 1 and dm == max(6, M - 1 - 6)
+
+
+class TestSectionMirror:
+    @staticmethod
+    def beam_problem(geometry="cartesian", M=56, bottom=None, **beam):
+        mat = MaterialStack(k0=K0, sigma=1.0, layers=(Layer(0.0, 4.0, 1.0, 0.0625),))
+        grid = quiet_grid(4.0, 32, 6.0, M, geometry)
+        einc = make_incoming(BeamSpec(shape="sech", r0=math.sqrt(2.0), **beam), grid, mat)
+        return HelmholtzProblem(grid, mat, einc_left=einc, bottom=bottom)
+
+    def test_centred_beam_is_mirror_symmetric(self):
+        problem = self.beam_problem()
+        nodes = np.arange(problem.size).reshape(problem.field_shape)
+        assert np.array_equal(problem.mirror, nodes[:, ::-1].reshape(-1))
+
+    @pytest.mark.parametrize("case", [
+        dict(tilt_angle=0.1),
+        dict(center=0.3),
+        dict(geometry="cylindrical"),
+        dict(M=55),
+        dict(bottom=SYM),  # unlike walls: A_lin itself is asymmetric
+    ])
+    def test_no_mirror_unless_invariant(self, case):
+        assert self.beam_problem(**case).mirror is None
+
+    def test_slab_has_no_mirror(self):
+        mat = MaterialStack(k0=K0, sigma=1.0, layers=(Layer(0.0, 5.0, 1.5, 0.0625),))
+        problem = Problem1D(build_grid_1d(5.0, 40), mat, Incoming1D(EincL=1.0))
+        assert problem.mirror is None
 
 
 class TestSlabReduction:

@@ -59,8 +59,28 @@ def soliton_slab():
     return HelmholtzProblem(grid, mat, einc_left=beam)
 
 
+def unfolded(problem):
+    """The same problem with its mirror dropped: the full-size reference."""
+    problem.mirror = None
+    return problem
+
+
 def raise_memory_error(*args, **kwargs):
     raise MemoryError("out of memory")
+
+
+def spy_factorizations(monkeypatch):
+    """Record (rows, lu.nnz) of every sparse_lu_solve call."""
+    seen = []
+    real = solvers.sparse_lu_solve
+
+    def spy(J, rhs, return_factor=False):
+        x, lu = real(J, rhs, return_factor=True)
+        seen.append((J.shape[0], lu.nnz))
+        return (x, lu) if return_factor else x
+
+    monkeypatch.setattr(solvers, "sparse_lu_solve", spy)
+    return seen
 
 
 class TestConfig:
@@ -278,10 +298,71 @@ class TestCrossMethod:
         assert report.converged
         assert np.abs(E_born - E_newton).max() < 1e-8
         assert report.factorizations == report.krylov_iterations == 0
+        assert report.lu_fill == 0
+        assert not report.mirror_folded
 
     def test_dispatch_validates_method(self):
         with pytest.raises(ValueError):
             solve(kerr_problem(), method="gauss")
+
+
+class TestSolveTelemetry:
+    @pytest.mark.parametrize("method", [newton_solve, freezing_solve])
+    def test_lu_fill_is_largest_factorization(self, method, monkeypatch):
+        seen = spy_factorizations(monkeypatch)
+        _, report = method(kerr_problem())
+        assert report.converged
+        assert len(seen) == report.factorizations
+        assert report.lu_fill == max(nnz for _, nnz in seen) > 0
+        assert not report.mirror_folded
+
+
+@pytest.fixture(scope="module")
+def mirror_pair():
+    """Newton on the 2D soliton slab, folded and on the full-size reference."""
+    folded = newton_solve(soliton_slab())
+    reference = newton_solve(unfolded(soliton_slab()))
+    return folded, reference
+
+
+class TestMirrorFold:
+    def test_newton_matches_unfolded_reference(self, mirror_pair):
+        (E, report), (E_ref, ref) = mirror_pair
+        assert report.mirror_folded and not ref.mirror_folded
+        assert_matches_direct(E, report, E_ref, ref)
+        assert report.factorizations == ref.factorizations
+        assert 0 < report.lu_fill < ref.lu_fill / 2
+
+    def test_folded_field_exactly_symmetric(self, mirror_pair):
+        (E, _), _ = mirror_pair
+        assert np.array_equal(E, E[:, ::-1])
+
+    def test_linear_systems_are_half_size(self, monkeypatch):
+        problem = soliton_slab()
+        seen = spy_factorizations(monkeypatch)
+        _, report = newton_solve(problem, NewtonConfig(max_iterations=2))
+        assert report.mirror_folded and report.factorizations > 0
+        # half of the 2 * size real-split unknowns
+        assert [rows for rows, _ in seen] == [problem.size] * report.factorizations
+
+    def test_asymmetric_initial_guess_takes_full_path(self, mirror_pair):
+        (E, _), _ = mirror_pair
+        guess = E.copy()
+        guess[:, : E.shape[1] // 2] *= 1.001
+        E_full, report = newton_solve(soliton_slab(), NewtonConfig(initial_guess=guess))
+        assert report.converged
+        assert not report.mirror_folded
+        assert np.abs(E_full - E).max() <= 1e-10 * np.abs(E).max()
+
+    def test_freezing_matches_unfolded_reference(self):
+        E, report = freezing_solve(soliton_slab())
+        E_ref, ref = freezing_solve(unfolded(soliton_slab()))
+        assert report.mirror_folded and not ref.mirror_folded
+        assert (report.converged, report.divergence_reason) == (
+            ref.converged, ref.divergence_reason)
+        assert abs(report.iterations - ref.iterations) <= 1
+        assert np.abs(E - E_ref).max() <= 1e-12 * np.abs(E_ref).max()
+        assert 0 < report.lu_fill < ref.lu_fill
 
 
 class TestDeterminism:
