@@ -30,10 +30,10 @@ CONTRACT_SCALE = 1e-10
 
 
 def mirror_invariant(x, mirror: np.ndarray) -> bool:
-    """Whether a node vector, or a sparse node-by-node matrix, is invariant
-    under the node permutation `mirror`: the largest entrywise change is
+    """Whether a vector, or a dense or sparse square matrix, is invariant
+    under the index permutation `mirror`: the largest entrywise change is
     within CONTRACT_SCALE of the largest |entry|."""
-    y = x[mirror][:, mirror] if sp.issparse(x) else x[mirror]
+    y = x[mirror][:, mirror] if x.ndim == 2 else x[mirror]
     return abs(y - x).max() <= CONTRACT_SCALE * abs(x).max()
 
 

@@ -40,7 +40,6 @@ from .beams import (
 )
 from .errors import ConfigError, NlhError
 from .fields import (
-    Grid1D,
     GridMultiD,
     Layer,
     MaterialStack,
@@ -189,7 +188,7 @@ def _material(cfg: RunConfig) -> MaterialStack:
     return MaterialStack(k0=float(cfg.k0), sigma=float(cfg.sigma), layers=layers)
 
 
-def build_problem(cfg: RunConfig, initial_guess=None):
+def build_problem(cfg: RunConfig):
     """(problem, grid, mat, solver_config) from a parsed run configuration."""
     mat = _material(cfg)
     if abs(mat.Zmax - cfg.Zmax) > 1e-12 * max(1.0, abs(cfg.Zmax)):
@@ -225,7 +224,7 @@ def build_problem(cfg: RunConfig, initial_guess=None):
             einc_right = make_incoming(_beam_spec(cfg.beam_right, "right", cfg.name),
                                        grid, mat)
         problem = HelmholtzProblem(grid, mat, einc_left, einc_right)
-    return problem, grid, mat, cfg.newton_config(initial_guess)
+    return problem, grid, mat, cfg.newton_config()
 
 
 # --- output writing -----------------------------------------------------------
@@ -492,26 +491,18 @@ def converge(config_path, levels: int) -> int:
         base = load_config(config_path)
         fields, grids = [], []
         all_converged = True
-        guess = None
         for i in range(levels):
             cfg_i = _refined(base, 2 ** i)
-            problem, grid, mat, solver_cfg = build_problem(cfg_i, initial_guess=guess)
+            problem, grid, mat, solver_cfg = build_problem(cfg_i)
+            if fields:  # warm start from the previous level
+                guess = interpolate_field(fields[-1], grids[-1], grid)
+                solver_cfg = dataclasses.replace(solver_cfg, initial_guess=guess)
             E, report = solvers.solve(problem, config=solver_cfg, method=cfg_i.solver)
             all_converged &= report.converged
             print(f"level {i}: N={cfg_i.N} M={cfg_i.M} converged={report.converged} "
                   f"iterations={report.iterations}")
             fields.append(E)
             grids.append(grid)
-            if i + 1 < levels:
-                next_grid_cfg = _refined(base, 2 ** (i + 1))
-                next_problem_grid = (
-                    build_grid_1d(next_grid_cfg.Zmax, next_grid_cfg.N)
-                    if base.geometry == "1d"
-                    else build_grid_multi(next_grid_cfg.Zmax, next_grid_cfg.N,
-                                          next_grid_cfg.extent, next_grid_cfg.M,
-                                          next_grid_cfg.geometry)
-                )
-                guess = interpolate_field(E, grid, next_problem_grid)
         table = grid_convergence_study(fields, grids)
         out_dir = resolve_output_dir(base)
         _atomic_write(out_dir / "converge.csv",

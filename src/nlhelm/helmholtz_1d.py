@@ -80,7 +80,6 @@ class Problem1D(KerrSystem):
     """
 
     def __init__(self, grid: Grid1D, mat: MaterialStack, inc: Incoming1D):
-        closure = characteristic_root(mat.k0, grid.h)
         column = GridMultiD(N=grid.N, Zmax=grid.Zmax, h_z=grid.h, M=1,
                             extent=0.5, h_perp=1.0, geometry="cartesian")
         self._column = HelmholtzProblem(
@@ -90,9 +89,6 @@ class Problem1D(KerrSystem):
         super().__init__(self._column.A_lin, self._column.C, self._column.b,
                          mat.sigma, field_shape=(grid.num_nodes,))
         self.grid = grid
-        self.mat = mat
-        self.inc = inc
-        self.closure = closure
 
     def vacuum_operator(self) -> sp.csr_matrix:
         return self._column.vacuum_operator()

@@ -18,11 +18,11 @@ a scalar and the system is the slab problem that `helmholtz_1d` exposes.
 Unknown ordering is n-major, m-minor; the real split interleaves (Re, Im)
 per node (see fields.to_real_split).
 
-A Cartesian section with even M whose assembled A_lin, C and b are invariant
-under m <-> M-1-m within each row (a centred, untilted, even beam between
-like walls) gets that reflection as its `mirror`, and the solvers then solve
-their linear systems on half the unknowns; the problem, its field and every
-output stay full size.
+A Cartesian section with even M whose transverse blocks and incoming
+profiles are invariant under m <-> M-1-m (a centred, untilted, even beam
+between like walls) gets that reflection within each row as its `mirror`,
+and the solvers then solve their linear systems on half the unknowns; the
+problem, its field and every output stay full size.
 """
 
 from __future__ import annotations
@@ -215,15 +215,19 @@ class HelmholtzProblem(KerrSystem):
 
     def _section_mirror(self) -> np.ndarray | None:
         """m <-> M-1-m within each row, kept only for a Cartesian section
-        with even M (no node on the axis) whose assembled system is
-        invariant under it."""
-        grid = self.grid
+        with even M (no node on the axis) whose transverse blocks and
+        incoming profiles are invariant under it, which makes the assembled
+        system invariant."""
+        grid, suite, eig = self.grid, self.suite, self.eigensystem
         if grid.geometry != "cartesian" or grid.M % 2:
             return None
-        rows = np.arange(grid.num_nodes)[:, None] * grid.M
-        mirror = (rows + np.arange(grid.M)[::-1]).reshape(-1)
-        if all(mirror_invariant(x, mirror) for x in (self.b, self.C, self.A_lin)):
-            return mirror
+        flip = np.arange(grid.M)[::-1]
+        parts = (suite.row_coupler, suite.compact_correction,
+                 suite.interface_laplacian, suite.laplacian,
+                 eig.propagation_matrix, eig.injection_matrix,
+                 self.einc_left, self.einc_right)
+        if all(mirror_invariant(x, flip) for x in parts if x is not None):
+            return (np.arange(grid.num_nodes)[:, None] * grid.M + flip).reshape(-1)
         return None
 
     def _check_profile(self, einc):

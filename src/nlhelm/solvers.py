@@ -1,27 +1,30 @@
 """Nonlinear solution strategies over assembled Kerr systems.
 
-Three strategies share one problem interface (see _system.KerrSystem):
+Three strategies share one problem interface (see _system.KerrSystem), two
+loops and one linear-solve step:
 
 * newton_solve: relaxed Newton on the real-split unknowns with an exact
   sparse Jacobian; the workhorse.
-* freezing_solve: outer iteration that freezes |E|^{2 sigma} and re-solves
-  the resulting linear variable-coefficient system by sparse LU.
-* born_solve: freezing outer loop whose inner linear solves are replaced by a
-  short fixed-point sweep preconditioned by the uniform (vacuum) operator,
-  which is inverted by separation of variables.
+* freezing_solve: the frozen-coefficient loop (_frozen_iteration), which
+  freezes |E|^{2 sigma} and re-solves the resulting linear
+  variable-coefficient system by sparse LU.
+* born_solve: the same loop with the LU replaced by a short fixed-point
+  sweep preconditioned by the uniform (vacuum) operator, which is inverted
+  by separation of variables.
 
-On systems of at least REUSE_MIN_UNKNOWNS real unknowns, newton_solve keeps
+Newton and freezing make their sparse solves through _LinearSolve. On
+systems of at least REUSE_MIN_UNKNOWNS real unknowns, newton_solve keeps
 the last LU of its Jacobian and solves later steps by GMRES preconditioned
 with it, refactoring only when a Krylov solve is slow or misses the residual
 contract of sparse_lu_solve.
 
 Mirror fold: when the problem carries a mirror (see _system.KerrSystem) and
-the initial field is symmetric under it, newton_solve and freezing_solve
-solve each sparse linear system for a mirror-symmetric solution on one
-unknown per mirror orbit, J_h = J[H] @ S with S the 0/1 unfold matrix, and
-unfold it by a gather. The folded system is the half-section problem with a
-mirror closure on the axis; the residual contract is checked on it. The
-iterate, the residual and the Jacobian stay full size.
+the initial field is symmetric under it, each sparse linear system is solved
+for a mirror-symmetric solution on one unknown per mirror orbit,
+J_h = J[H] @ S with S the 0/1 unfold matrix, and unfolded by a gather. The
+folded system is the half-section problem with a mirror closure on the axis;
+the residual contract is checked on it. The iterate, the residual and the
+Jacobian stay full size.
 
 All three return (field, SolveReport) and never raise on non-convergence;
 controlled failure is reported through the SolveReport.
@@ -205,6 +208,52 @@ def _initial_field(problem: KerrSystem, config: NewtonConfig) -> np.ndarray:
     return e0.copy()
 
 
+class _LinearSolve:
+    """The sparse linear solves of one run, with their SolveReport telemetry.
+
+    Each call solves J x = rhs on the mirror fold when the problem has a
+    mirror and the initial field e is symmetric under it. With reuse the last
+    LU preconditions GMRES (see _krylov_solve) and is refactored only when
+    that misses the contract or takes over REFACTOR_ITERATIONS iterations;
+    without it every call factors afresh. At most one factor is alive.
+    """
+
+    def __init__(self, problem: KerrSystem, e: np.ndarray, *, real_split: bool,
+                 reuse: bool):
+        self.fold = _mirror_fold(problem, e, real_split)
+        self.reuse = reuse
+        self.lu = None
+        self.factorizations = self.krylov_iterations = self.lu_fill = 0
+
+    def __call__(self, J: sp.spmatrix, rhs: np.ndarray):
+        """(x, None), or (None, reason) when the solve fails."""
+        if self.fold is not None:
+            H, S, gather = self.fold
+            J, rhs = J[H] @ S, rhs[H]
+        x = None
+        try:
+            if self.lu is not None:
+                x, its = _krylov_solve(J, rhs, self.lu)
+                self.krylov_iterations += its
+                if x is None or its > REFACTOR_ITERATIONS:
+                    self.lu = None  # stale; dropped before splu so one factor is alive
+            if x is None:
+                x, lu = sparse_lu_solve(J, rhs, return_factor=True)
+                self.factorizations += 1
+                self.lu_fill = max(self.lu_fill, lu.nnz)
+                self.lu = lu if self.reuse else None
+        except SingularMatrix:
+            return None, "LinearSolveFail"
+        except MemoryError:
+            return None, "OutOfMemory"
+        return (x if self.fold is None else x[gather]), None
+
+    def telemetry(self) -> dict:
+        return dict(factorizations=self.factorizations,
+                    krylov_iterations=self.krylov_iterations,
+                    lu_fill=self.lu_fill, mirror_folded=self.fold is not None)
+
+
 def _finish(problem: KerrSystem, e: np.ndarray, converged: bool,
             history: list[HistoryEntry], reason: str | None, **counts):
     """(field, SolveReport); counts are the SolveReport's telemetry fields."""
@@ -234,43 +283,18 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     history: list[HistoryEntry] = []
     reason = "MaxIter"
     converged = False
-    reuse = 2 * problem.size >= REUSE_MIN_UNKNOWNS
-    fold = _mirror_fold(problem, e, real_split=True)
-    if fold is not None:
-        H, S, gather = fold
-    lu = None
-    factorizations = krylov_iterations = lu_fill = 0
+    linear = _LinearSolve(problem, e, real_split=True,
+                          reuse=2 * problem.size >= REUSE_MIN_UNKNOWNS)
     for _ in range(config.max_iterations):
         F = problem.residual_complex(e)
         resid_norm = float(np.abs(F).max())
         if not np.isfinite(resid_norm):
             reason = "NaN"
             break
-        J = problem.jacobian_real(e)
-        rhs = -to_real_split(F)
-        if fold is not None:
-            J, rhs = J[H] @ S, rhs[H]
-        d = None
-        try:
-            if lu is not None:
-                d, its = _krylov_solve(J, rhs, lu)
-                krylov_iterations += its
-                if d is None or its > REFACTOR_ITERATIONS:
-                    lu = None  # stale; dropped before splu so one factor is alive
-            if d is None:
-                d, lu = sparse_lu_solve(J, rhs, return_factor=True)
-                factorizations += 1
-                lu_fill = max(lu_fill, lu.nnz)
-                if not reuse:
-                    lu = None
-        except SingularMatrix:
-            reason = "LinearSolveFail"
+        d, failure = linear(problem.jacobian_real(e), -to_real_split(F))
+        if failure is not None:
+            reason = failure
             break
-        except MemoryError:
-            reason = "OutOfMemory"
-            break
-        if fold is not None:
-            d = d[gather]
         delta = from_real_split(d, (problem.size,))
         step_norm = float(np.abs(delta).max())
         if not np.isfinite(step_norm):
@@ -285,10 +309,39 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
         if step_norm < config.convergence_tol:
             converged = True
             break
-    return _finish(problem, e, converged, history, reason,
-                   factorizations=factorizations,
-                   krylov_iterations=krylov_iterations, lu_fill=lu_fill,
-                   mirror_folded=fold is not None)
+    return _finish(problem, e, converged, history, reason, **linear.telemetry())
+
+
+def _frozen_iteration(problem: KerrSystem, config: NewtonConfig, e: np.ndarray,
+                      inner, exact: bool):
+    """Fixed point of E <- inner(|E|^{2 sigma}, E) until the iterates stop
+    moving; (field, converged, history, reason) for _finish.
+
+    inner(w, e) returns (x, None), or (field, reason) to stop with that
+    field. With exact the first solve is the solution and ends the loop."""
+    history: list[HistoryEntry] = []
+    reason = "MaxIter"
+    converged = False
+    for _ in range(config.max_iterations):
+        w = problem.kerr_weights(e)
+        if not np.all(np.isfinite(w)):
+            reason = "NaN"
+            break
+        x, failure = inner(w, e)
+        if failure is not None:
+            e, reason = x, failure
+            break
+        delta = float(np.abs(x - e).max())
+        resid_norm = float(np.abs(problem.residual_complex(x)).max())
+        e = x
+        history.append(HistoryEntry(delta, resid_norm, delta))
+        if exact or delta < config.convergence_tol:
+            converged = True
+            break
+        if not np.isfinite(delta):
+            reason = "NaN"
+            break
+    return e, converged, history, reason
 
 
 def freezing_solve(problem: KerrSystem, config: NewtonConfig | None = None):
@@ -297,52 +350,15 @@ def freezing_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     stop moving. A mirror-symmetric problem solves on its mirror fold."""
     config = config or NewtonConfig()
     e = _initial_field(problem, config)
-    history: list[HistoryEntry] = []
-    reason = "MaxIter"
-    converged = False
-    fold = _mirror_fold(problem, e, real_split=False)
-    b = problem.b
-    if fold is not None:
-        H, S, gather = fold
-        b = b[H]
-    factorizations = lu_fill = 0
-    for _ in range(config.max_iterations):
-        w = problem.kerr_weights(e)
-        if not np.all(np.isfinite(w)):
-            reason = "NaN"
-            break
-        A = problem.frozen_operator(w)
-        if fold is not None:
-            A = A[H] @ S
-        try:
-            e_new, lu = sparse_lu_solve(A, b, return_factor=True)
-        except SingularMatrix:
-            reason = "LinearSolveFail"
-            break
-        except MemoryError:
-            reason = "OutOfMemory"
-            break
-        factorizations += 1
-        lu_fill = max(lu_fill, lu.nnz)
-        lu = None  # the next factorization must not overlap this one
-        if fold is not None:
-            e_new = e_new[gather]
-        delta = float(np.abs(e_new - e).max())
-        resid_norm = float(np.abs(problem.residual_complex(e_new)).max())
-        e = e_new
-        history.append(HistoryEntry(delta, resid_norm, delta))
-        if not problem.has_kerr:
-            converged = True  # linear problem: first solve is exact
-            break
-        if not np.isfinite(delta):
-            reason = "NaN"
-            break
-        if delta < config.convergence_tol:
-            converged = True
-            break
-    return _finish(problem, e, converged, history, reason,
-                   factorizations=factorizations, lu_fill=lu_fill,
-                   mirror_folded=fold is not None)
+    linear = _LinearSolve(problem, e, real_split=False, reuse=False)
+
+    def frozen_lu(w, e):
+        x, failure = linear(problem.frozen_operator(w), problem.b)
+        return (e if x is None else x), failure
+
+    return _finish(problem, *_frozen_iteration(
+        problem, config, e, frozen_lu, exact=not problem.has_kerr),
+        **linear.telemetry())
 
 
 def born_solve(problem: KerrSystem, config: NewtonConfig | None = None):
@@ -352,51 +368,29 @@ def born_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     variables."""
     config = config or NewtonConfig()
     e = _initial_field(problem, config)
-    history: list[HistoryEntry] = []
-    reason = "MaxIter"
-    converged = False
     A0 = problem.vacuum_operator()
     D_base = (problem.A_lin - A0).tocsr()
-    trivial_diff = D_base.nnz == 0 and not problem.has_kerr
-    for _ in range(config.max_iterations):
-        w = problem.kerr_weights(e)
-        if not np.all(np.isfinite(w)):
-            reason = "NaN"
-            break
+    exact = D_base.nnz == 0 and not problem.has_kerr
+    sweeps = 1 if exact else config.born_inner_iterations
+
+    def vacuum_sweeps(w, e):
         if problem.has_kerr:
             D = (D_base + problem.C @ sp.diags(w, format="csr")).tocsr()
         else:
             D = D_base
         x = e
-        inner = 1 if trivial_diff else config.born_inner_iterations
-        blew_up = False
         # a diverging sweep may overflow to inf mid-iteration; that is a
         # reported outcome, not an error
         with np.errstate(over="ignore", invalid="ignore"):
-            for _k in range(inner):
+            for _ in range(sweeps):
                 rhs = problem.b - D @ x
                 if not np.all(np.isfinite(rhs)):
-                    blew_up = True
-                    break
+                    return x, "NaN"
                 x = problem.vacuum_solve(rhs)
-        if blew_up or not np.all(np.isfinite(x)):
-            e = x
-            reason = "NaN"
-            break
-        delta = float(np.abs(x - e).max())
-        resid_norm = float(np.abs(problem.residual_complex(x)).max())
-        e = x
-        history.append(HistoryEntry(delta, resid_norm, delta))
-        if trivial_diff:
-            converged = True
-            break
-        if not np.isfinite(delta):
-            reason = "NaN"
-            break
-        if delta < config.convergence_tol:
-            converged = True
-            break
-    return _finish(problem, e, converged, history, reason)
+        return x, (None if np.all(np.isfinite(x)) else "NaN")
+
+    return _finish(problem, *_frozen_iteration(problem, config, e,
+                                               vacuum_sweeps, exact))
 
 
 _METHODS = {

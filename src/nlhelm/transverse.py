@@ -219,9 +219,6 @@ class TransverseSuite:
     """
 
     grid: GridMultiD
-    k0: float
-    bottom: TransverseClosure
-    top: TransverseClosure
     extension: sp.csr_matrix
     laplacian: sp.csr_matrix
     compact_correction: sp.csr_matrix
@@ -259,9 +256,6 @@ def build_transverse_suite(grid: GridMultiD, k0: float,
     L_perp = (A_t - (k0 ** 2 * hz2_12) * T2).tocsr()
     return TransverseSuite(
         grid=grid,
-        k0=k0,
-        bottom=bottom,
-        top=top,
         extension=X,
         laplacian=L_perp,
         compact_correction=T2.tocsr(),
@@ -291,9 +285,6 @@ class TransverseEigensystem:
     eigenvalues: np.ndarray    # lambda_l of L_perp, sorted as above
     modes_inverse: np.ndarray  # Psi^{-1}
     roots: np.ndarray          # per-mode stable characteristic root q_l
-    condition_number: float
-    k0: float
-    h_z: float
 
     @property
     def M(self) -> int:
@@ -392,7 +383,4 @@ def eigensolve_transverse(L_perp: np.ndarray | sp.spmatrix, k0: float,
         eigenvalues=lam,
         modes_inverse=V_inv,
         roots=roots,
-        condition_number=cond,
-        k0=k0,
-        h_z=h_z,
     )

@@ -40,6 +40,7 @@ from nlhelm import (
     symmetric_closure,
     to_real_split,
 )
+from nlhelm._system import mirror_invariant
 from nlhelm.helmholtz_nd import _material_rows
 
 K0 = 4.0
@@ -335,6 +336,28 @@ class TestSectionMirror:
     ])
     def test_no_mirror_unless_invariant(self, case):
         assert self.beam_problem(**case).mirror is None
+
+    @pytest.mark.parametrize("case", [
+        dict(),
+        dict(tilt_angle=0.1),
+        dict(center=0.3),
+        dict(geometry="cylindrical"),
+        dict(M=55),
+        dict(bottom=SYM),
+    ])
+    def test_block_decision_matches_assembled_system(self, case):
+        # oracle: m <-> M-1-m applied to the assembled A_lin, C and b; odd M
+        # is excluded because its middle node would be a fixed point
+        problem = self.beam_problem(**case)
+        grid = problem.grid
+        mirror = np.arange(problem.size).reshape(problem.field_shape)[:, ::-1].reshape(-1)
+        invariant = grid.M % 2 == 0 and all(
+            mirror_invariant(x, mirror) for x in (problem.b, problem.C, problem.A_lin))
+        if invariant:
+            assert np.array_equal(problem.mirror, mirror)
+        else:
+            assert problem.mirror is None
+        assert invariant == (case == {})
 
     def test_slab_has_no_mirror(self):
         mat = MaterialStack(k0=K0, sigma=1.0, layers=(Layer(0.0, 5.0, 1.5, 0.0625),))

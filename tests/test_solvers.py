@@ -65,10 +65,6 @@ def unfolded(problem):
     return problem
 
 
-def raise_memory_error(*args, **kwargs):
-    raise MemoryError("out of memory")
-
-
 def spy_factorizations(monkeypatch):
     """Record (rows, lu.nnz) of every sparse_lu_solve call."""
     seen = []
@@ -218,12 +214,20 @@ class TestNewton:
         assert not report.converged
         assert report.iterations <= 3
 
+    @pytest.mark.parametrize("failure,reason", [
+        (MemoryError, "OutOfMemory"),
+        (RuntimeError, "LinearSolveFail"),  # what splu raises on a singular matrix
+    ], ids=["OutOfMemory", "LinearSolveFail"])
     @pytest.mark.parametrize("method", [newton_solve, freezing_solve])
-    def test_out_of_memory_reported_not_raised(self, method, monkeypatch):
-        monkeypatch.setattr(spla, "splu", raise_memory_error)
+    def test_linear_failure_reported_not_raised(self, method, failure, reason,
+                                                monkeypatch):
+        def failing_splu(*args, **kwargs):
+            raise failure("splu failed")
+
+        monkeypatch.setattr(spla, "splu", failing_splu)
         _, report = method(kerr_problem())
         assert not report.converged
-        assert report.divergence_reason == "OutOfMemory"
+        assert report.divergence_reason == reason
         assert report.iterations == 0
         assert report.factorizations == 0
 
@@ -300,6 +304,24 @@ class TestCrossMethod:
         assert report.factorizations == report.krylov_iterations == 0
         assert report.lu_fill == 0
         assert not report.mirror_folded
+
+    def test_born_blow_up_reported_as_nan(self):
+        # nu = 1.5 puts the linear contrast outside the vacuum sweep's
+        # convergence domain
+        _, report = solve(kerr_problem(), method="born")
+        assert not report.converged
+        assert report.divergence_reason == "NaN"
+        assert report.iterations == len(report.history) > 0
+
+    def test_born_exact_on_contrast_free_linear_stack(self):
+        # A_lin is the vacuum operator, so the first sweep is the solution
+        problem = build_problem_1d(build_grid_1d(5.0, 64), slab(1.0, 0.0),
+                                   Incoming1D(EincL=1.0))
+        E_frozen, _ = freezing_solve(problem)
+        E_born, report = solve(problem, method="born")
+        assert report.converged
+        assert report.iterations == len(report.history) == 1
+        assert np.abs(E_born - E_frozen).max() < 1e-10
 
     def test_dispatch_validates_method(self):
         with pytest.raises(ValueError):
