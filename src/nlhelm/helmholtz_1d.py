@@ -23,7 +23,7 @@ from ._system import KerrSystem
 from .errors import OracleRequiresLinear
 from .fields import Grid1D, GridMultiD, MaterialStack
 from .helmholtz_nd import HelmholtzProblem
-from .transverse import root_from_ksq, symmetric_closure
+from .transverse import injection_weight, root_from_ksq, symmetric_closure
 
 __all__ = [
     "Abc1DClosure",
@@ -50,8 +50,7 @@ class Abc1DClosure:
 
     @property
     def injection_weight(self) -> complex:
-        q = self.q
-        return (1.0 / q - q) * q**-3
+        return injection_weight(self.q)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ symmetric schemes, and for the 1D slab as their single-column case.
 Longitudinal structure: compact 3-node material rows, 7-node
 derivative-matching rows at genuine material jumps, and two-way boundary
 rows at n = -3 and n = N+3. Every longitudinal row carries M transverse
-unknowns; transverse derivatives (through the closures of the
-transverse module) appear as M x M blocks, so the global operator is built
-as a sum of Kronecker products of longitudinal coupling patterns with
-transverse blocks.
+unknowns; transverse derivatives (through the closures of the transverse
+module) appear as M x M blocks. The material enters only through per-row
+coefficient arrays (nu^2, eps, and whether the row is an interface row), so
+each operator is a fixed sum of Kronecker products kron(Z, B): Z an R x R
+longitudinal matrix of those coefficients, B one of six transverse blocks.
 
 The boundary rows use the transverse eigensystem: the ghost column one step
 outside the domain is a per-mode combination of incoming injection and
@@ -18,8 +19,8 @@ a scalar and the system is the slab problem that `helmholtz_1d` exposes.
 Unknown ordering is n-major, m-minor; the real split interleaves (Re, Im)
 per node (see fields.to_real_split).
 
-A Cartesian section with even M whose transverse blocks and incoming
-profiles are invariant under m <-> M-1-m (a centred, untilted, even beam
+A Cartesian section with even M whose transverse blocks and boundary-row
+forcing are invariant under m <-> M-1-m (a centred, untilted, even beam
 between like walls) gets that reflection within each row as its `mirror`,
 and the solvers then solve their linear systems on half the unknowns; the
 problem, its field and every output stay full size.
@@ -50,7 +51,7 @@ from .transverse import (
     build_transverse_suite,
     eigensolve_transverse,
 )
-from .stencils import apply_stencil, central
+from .stencils import apply_stencil, central, one_sided_first_derivative_4node
 
 __all__ = [
     "HelmholtzProblem",
@@ -64,129 +65,99 @@ __all__ = [
     "residual_interface",
 ]
 
-# 7-node interface combination: difference of the two one-sided first
-# derivatives, already multiplied by 66 (divide by 66 h when applying)
-_IFACE_W = np.array([4.0, -27.0, 108.0, -170.0, 108.0, -27.0, 4.0]) / 66.0
+# 7-node interface combination on offsets -3..3, times h: the 4-node
+# one-sided first derivative to the right minus the one to the left
+_ONE_SIDED_W = one_sided_first_derivative_4node()[0].weights
+_IFACE_W = np.array([*_ONE_SIDED_W[:0:-1], 2.0 * _ONE_SIDED_W[0], *_ONE_SIDED_W[1:]])
 
 
 def _material_rows(grid: GridMultiD, mat: MaterialStack):
-    """Per-row recipe for the non-boundary rows n = -2 .. N+2.
+    """Coefficients of the non-boundary rows n = -2 .. N+2, as arrays indexed
+    by n+2: (W, eps, interface).
 
-    Returns a list of ("generic", nu^2, eps) or ("interface", avg nu^2,
-    avg eps) tuples indexed by n+2. Matched partitions (no jump in either
-    coefficient) take the generic compact row, which their smoothness makes
-    fourth-order accurate.
+    A row at a genuine jump of nu or eps (interface True) is a 7-node
+    derivative-matching row with W and eps the averages of nu^2 and eps over
+    its two sides; every other row is a compact row with the nu^2 and eps of
+    the cell to its right. Matched partitions (no jump in either coefficient)
+    take the compact row, which their smoothness makes fourth-order accurate.
     """
     nodes = interface_nodes(grid, mat)
-    exterior = (EXTERIOR_NU, EXTERIOR_EPS)
-    # (nu, eps) on each cell [n, n+1], n = -3 .. N+2
-    cells = [exterior] * (nodes[0] + 3)
-    for lay, lo, hi in zip(mat.layers, nodes, nodes[1:]):
-        cells += [(lay.nu, lay.eps)] * (hi - lo)
-    cells += [exterior] * (grid.N + 3 - nodes[-1])
-    partitions = set(nodes)
-    rows = []
-    for n, ((nu_l, eps_l), (nu_r, eps_r)) in enumerate(zip(cells, cells[1:]), start=-2):
-        if n in partitions and (nu_l != nu_r or eps_l != eps_r):
-            rows.append(("interface", 0.5 * (nu_l ** 2 + nu_r ** 2),
-                         0.5 * (eps_l + eps_r)))
-        else:
-            rows.append(("generic", nu_r * nu_r, eps_r))
-    return rows
+    nu = np.array([EXTERIOR_NU, *(lay.nu for lay in mat.layers), EXTERIOR_NU])
+    eps = np.array([EXTERIOR_EPS, *(lay.eps for lay in mat.layers), EXTERIOR_EPS])
+    # layer (0 and -1: exterior) of each cell [n, n+1], n = -3 .. N+2; cells
+    # on either side of a node differ only at partition points
+    cell = np.searchsorted(nodes, np.arange(-3, grid.N + 3), side="right")
+    nu, eps = nu[cell], eps[cell]
+    interface = (nu[:-1] != nu[1:]) | (eps[:-1] != eps[1:])
+    W = nu * nu
+    return (np.where(interface, 0.5 * (W[:-1] + W[1:]), W[1:]),
+            np.where(interface, 0.5 * (eps[:-1] + eps[1:]), eps[1:]),
+            interface)
 
 
-def _assemble(grid: GridMultiD, k0: float, rows, suite: TransverseSuite,
+def _transverse_blocks(suite: TransverseSuite, eig: TransverseEigensystem,
+                       k0: float, h: float):
+    """The M x M blocks the operators are Kronecker sums over:
+    (I, A_t, T2, T_L, two-way boundary block, compact block of C)."""
+    I_M = sp.identity(suite.laplacian.shape[0], dtype=np.complex128, format="csr")
+    c = (1.0 + k0 * k0 * h * h / 12.0) / (h * h)
+    # ghost column eliminated through per-mode one-step propagation
+    boundary = (c * sp.csr_matrix(eig.propagation_matrix) + suite.laplacian
+                + (-2.0 * c + k0 * k0) * I_M)
+    compact = (10.0 / 12.0) * I_M - (h * h / 12.0) * suite.compact_correction
+    return (I_M, suite.row_coupler, suite.compact_correction,
+            suite.interface_laplacian, boundary, compact)
+
+
+def _assemble(grid: GridMultiD, k0: float, W: np.ndarray, eps: np.ndarray,
+              interface: np.ndarray, suite: TransverseSuite,
               eig: TransverseEigensystem,
               einc_left: np.ndarray | None, einc_right: np.ndarray | None):
-    """(A_lin, C, b) for the given per-row recipes."""
+    """(A_lin, C, b) for the per-row coefficients of _material_rows.
+
+    A_lin and C are fixed sums of kron(Z, B): B a block of
+    _transverse_blocks, Z an R x R longitudinal matrix of per-row
+    coefficients, zero on the rows the term does not touch. Rows 0 and R-1
+    are the two-way boundary rows.
+    """
     R, M, h = grid.num_nodes, grid.M, grid.h_z
-    I_M = sp.identity(M, dtype=np.complex128, format="csr")
-    T2 = suite.compact_correction
-    A_t = suite.row_coupler
-    T_L = suite.interface_laplacian
-    L_perp = suite.laplacian
+    I_M, A_t, T2, T_L, boundary, compact = _transverse_blocks(suite, eig, k0, h)
     c = (1.0 + k0 * k0 * h * h / 12.0) / (h * h)
+    W, eps = np.pad(W, 1), np.pad(eps, 1)
+    iface, compact_row = np.pad(interface, 1), np.pad(~interface, 1)
+    edge = ~(iface | compact_row)
+    k2W, k2eps = k0 * k0 * W, k0 * k0 * eps
 
-    a_pieces: list[sp.spmatrix] = []
-    c_pieces: list[sp.spmatrix] = []
-    # scalar longitudinal couplings (kron'd with the transverse identity)
-    za_r, za_c, za_v = [], [], []
-    zc_r, zc_c, zc_v = [], [], []
+    def term(bands, B):
+        """kron(Z, B) with Z coupling row r to row r + j by bands[j][r]."""
+        Z = sp.diags([v[max(0, -j):R - max(0, j)] for j, v in bands.items()],
+                     list(bands), shape=(R, R))
+        return sp.kron(Z, B, format="coo")
 
-    def sel(row_ids):
-        data = np.ones(len(row_ids))
-        return sp.coo_matrix((data, (row_ids, row_ids)), shape=(R, R))
-
-    # group the generic rows by material so each material contributes one
-    # Kronecker block
-    groups: dict[tuple[float, float], list[int]] = {}
-    interfaces: list[tuple[int, float, float]] = []
-    for i, recipe in enumerate(rows):
-        r = i + 1  # rows[] covers n = -2..N+2, global row index n+3
-        kind, W, eps = recipe
-        if kind == "generic":
-            groups.setdefault((W, eps), []).append(r)
-        else:
-            interfaces.append((r, W, eps))
-
-    for (W, eps), rids in groups.items():
-        off = 1.0 / (h * h) + k0 * k0 * W / 12.0
-        diag_block = (A_t - (k0 * k0 * W * h * h / 12.0) * T2
-                      + (-2.0 / (h * h) + (10.0 / 12.0) * k0 * k0 * W) * I_M)
-        a_pieces.append(sp.kron(sel(rids), diag_block, format="coo"))
-        for r in rids:
-            za_r.extend((r, r))
-            za_c.extend((r - 1, r + 1))
-            za_v.extend((off, off))
-        if eps != 0.0:
-            ck = k0 * k0 * eps
-            c_block = ck * ((10.0 / 12.0) * I_M - (h * h / 12.0) * T2)
-            c_pieces.append(sp.kron(sel(rids), c_block, format="coo"))
-            for r in rids:
-                zc_r.extend((r, r))
-                zc_c.extend((r - 1, r + 1))
-                zc_v.extend((ck / 12.0, ck / 12.0))
-
-    for r, Wavg, epsavg in interfaces:
-        for j, w in zip(range(-3, 4), _IFACE_W):
-            za_r.append(r)
-            za_c.append(r + j)
-            za_v.append(w / h)
-        block = (6.0 * h / 11.0) * (k0 * k0 * Wavg * I_M + T_L)
-        a_pieces.append(sp.kron(sel([r]), block, format="coo"))
-        if epsavg != 0.0:
-            zc_r.append(r)
-            zc_c.append(r)
-            zc_v.append(6.0 * h * k0 * k0 * epsavg / 11.0)
-
-    # two-way boundary rows: ghost eliminated through per-mode propagation
-    Q = sp.csr_matrix(eig.propagation_matrix)
-    abc_block = c * Q + L_perp + (-2.0 * c + k0 * k0) * I_M
-    for r, inner in ((0, 1), (R - 1, R - 2)):
-        a_pieces.append(sp.kron(sel([r]), abc_block, format="coo"))
-        za_r.append(r)
-        za_c.append(inner)
-        za_v.append(c)
-
-    Z_a = sp.coo_matrix((za_v, (za_r, za_c)), shape=(R, R))
-    A = sp.kron(Z_a, I_M, format="coo")
-    for piece in a_pieces:
-        A = A + piece
-    if zc_r or c_pieces:
-        Z_c = sp.coo_matrix((zc_v, (zc_r, zc_c)), shape=(R, R))
-        C = sp.kron(Z_c, I_M, format="coo")
-        for piece in c_pieces:
-            C = C + piece
-        C = C.tocsr()
-    else:
-        C = sp.csr_matrix((R * M, R * M), dtype=np.complex128)
+    # identity-block couplings: the compact rows' 3-node stencil, the
+    # interface rows' 7-node one and the boundary rows' inner neighbour
+    bands = {j: iface * (w / h) for j, w in zip(range(-3, 4), _IFACE_W)}
+    bands[0] = (bands[0] + iface * ((6.0 * h / 11.0) * k2W)
+                + compact_row * (-2.0 / (h * h) + (10.0 / 12.0) * k0 * k0 * W))
+    for j in (-1, 1):
+        bands[j] = bands[j] + compact_row * (1.0 / (h * h) + k2W / 12.0)
+    bands[1][0] = bands[-1][-1] = c
+    A = (term({0: compact_row * 1.0}, A_t)
+         + term({0: compact_row * -(k2W * h * h / 12.0)}, T2)
+         + term(bands, I_M)
+         + term({0: iface * (6.0 * h / 11.0)}, T_L)
+         + term({0: edge * 1.0}, boundary))
+    c_off = compact_row * (k2eps / 12.0)
+    C = (term({0: compact_row * k2eps}, compact)
+         + term({-1: c_off, 0: iface * (6.0 * h * k0 * k0 * eps / 11.0), 1: c_off}, I_M))
 
     b = np.zeros(R * M, dtype=np.complex128)
     if einc_left is not None:
         b[:M] = -c * (eig.injection_matrix @ einc_left)
     if einc_right is not None:
         b[-M:] = -c * (eig.injection_matrix @ einc_right)
-    return A.tocsr(), C, b
+    # C has no nonzeros on a linear stack; keep its dtype that of A_lin
+    return A.tocsr(), C.tocsr().astype(np.complex128, copy=False), b
 
 
 class HelmholtzProblem(KerrSystem):
@@ -202,11 +173,10 @@ class HelmholtzProblem(KerrSystem):
         self.suite = build_transverse_suite(grid, mat.k0, bottom, top)
         self.eigensystem = eigensolve_transverse(
             self.suite.laplacian, mat.k0, grid.h_z)
-        self.einc_left = self._check_profile(einc_left)
-        self.einc_right = self._check_profile(einc_right)
-        A, C, b = _assemble(grid, mat.k0, _material_rows(grid, mat),
+        A, C, b = _assemble(grid, mat.k0, *_material_rows(grid, mat),
                             self.suite, self.eigensystem,
-                            self.einc_left, self.einc_right)
+                            self._check_profile(einc_left),
+                            self._check_profile(einc_right))
         super().__init__(A, C, b, mat.sigma,
                          field_shape=(grid.num_nodes, grid.M))
         self.mirror = self._section_mirror()
@@ -216,18 +186,16 @@ class HelmholtzProblem(KerrSystem):
     def _section_mirror(self) -> np.ndarray | None:
         """m <-> M-1-m within each row, kept only for a Cartesian section
         with even M (no node on the axis) whose transverse blocks and
-        incoming profiles are invariant under it, which makes the assembled
-        system invariant."""
-        grid, suite, eig = self.grid, self.suite, self.eigensystem
-        if grid.geometry != "cartesian" or grid.M % 2:
+        boundary-row forcing are invariant under it, which makes the
+        assembled system invariant."""
+        grid, M = self.grid, self.grid.M
+        if grid.geometry != "cartesian" or M % 2:
             return None
-        flip = np.arange(grid.M)[::-1]
-        parts = (suite.row_coupler, suite.compact_correction,
-                 suite.interface_laplacian, suite.laplacian,
-                 eig.propagation_matrix, eig.injection_matrix,
-                 self.einc_left, self.einc_right)
-        if all(mirror_invariant(x, flip) for x in parts if x is not None):
-            return (np.arange(grid.num_nodes)[:, None] * grid.M + flip).reshape(-1)
+        flip = np.arange(M)[::-1]
+        parts = (*_transverse_blocks(self.suite, self.eigensystem, self.k0, grid.h_z),
+                 self.b[:M], self.b[-M:])
+        if all(mirror_invariant(x, flip) for x in parts):
+            return (np.arange(grid.num_nodes)[:, None] * M + flip).reshape(-1)
         return None
 
     def _check_profile(self, einc):
@@ -245,10 +213,12 @@ class HelmholtzProblem(KerrSystem):
         return self.mat.k0
 
     def vacuum_operator(self) -> sp.csr_matrix:
-        """Uniform linear operator: every non-boundary row generic (1, 0)."""
+        """Uniform linear operator: every non-boundary row a compact row
+        with W = 1, eps = 0."""
         if self._vacuum is None:
-            rows = [("generic", 1.0, 0.0)] * (self.grid.num_nodes - 2)
-            A0, _, _ = _assemble(self.grid, self.k0, rows, self.suite,
+            n = self.grid.num_nodes - 2
+            A0, _, _ = _assemble(self.grid, self.k0, np.ones(n), np.zeros(n),
+                                 np.zeros(n, dtype=bool), self.suite,
                                  self.eigensystem, None, None)
             self._vacuum = A0
         return self._vacuum

@@ -4,7 +4,8 @@ Three strategies share one problem interface (see _system.KerrSystem), two
 loops and one linear-solve step:
 
 * newton_solve: relaxed Newton on the real-split unknowns with an exact
-  sparse Jacobian; the workhorse.
+  sparse Jacobian; the workhorse. A linear problem goes to freezing_solve,
+  which solves it exactly in one step.
 * freezing_solve: the frozen-coefficient loop (_frozen_iteration), which
   freezes |E|^{2 sigma} and re-solves the resulting linear
   variable-coefficient system by sparse LU.
@@ -277,7 +278,13 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     preconditioned with the last LU while that stays within
     REFACTOR_ITERATIONS iterations; a step whose Krylov solve misses the
     residual contract is factored afresh. A mirror-symmetric problem solves
-    for delta on its mirror fold."""
+    for delta on its mirror fold.
+
+    A linear problem (no Kerr term) is solved by freezing_solve, whose one
+    exact solve is the first full Newton step; relaxing it would only add
+    steps and LUs."""
+    if not problem.has_kerr:
+        return freezing_solve(problem, config)
     config = config or NewtonConfig()
     e = _initial_field(problem, config)
     history: list[HistoryEntry] = []

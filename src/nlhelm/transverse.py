@@ -45,6 +45,7 @@ __all__ = [
     "TransverseEigensystem",
     "eigensolve_transverse",
     "root_from_ksq",
+    "injection_weight",
     "abc_ghost_row",
     "default_closures",
 ]
@@ -300,8 +301,7 @@ class TransverseEigensystem:
     def injection_matrix(self) -> np.ndarray:
         """B = Psi diag((1/q_l - q_l) q_l^{-3}) Psi^{-1}: weight applied to the
         incoming beam profile in the boundary-row forcing."""
-        beta = (1.0 / self.roots - self.roots) * self.roots ** (-3)
-        return (self.modes * beta) @ self.modes_inverse
+        return (self.modes * injection_weight(self.roots)) @ self.modes_inverse
 
     def ghost_column(self, einc: np.ndarray, edge: np.ndarray) -> np.ndarray:
         """Extended column just outside the domain: incoming injection plus
@@ -323,9 +323,16 @@ def abc_ghost_row(eigsys: TransverseEigensystem, uinc: np.ndarray,
     M=1 this is exactly the slab ghost relation of the one-dimensional
     boundary closure.
     """
-    beta = (1.0 / eigsys.roots - eigsys.roots) * eigsys.roots ** (-3)
+    beta = injection_weight(eigsys.roots)
     return (eigsys.modes @ (beta * np.asarray(uinc, dtype=np.complex128))
             + eigsys.propagation_matrix @ boundary_column)
+
+
+def injection_weight(q):
+    """(1/q - q) q^-3: the weight of the incoming amplitude in the ghost
+    value one step outside the domain, for a characteristic root q (a
+    scalar, or an array of per-mode roots)."""
+    return (1.0 / q - q) * q ** (-3)
 
 
 def root_from_ksq(k_sq: complex, h: float) -> complex:

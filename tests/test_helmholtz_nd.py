@@ -31,6 +31,7 @@ from nlhelm import (
     from_real_split,
     kerr_jacobian_block,
     make_incoming,
+    newton_solve,
     residual_exterior,
     residual_interface,
     residual_interior_cartesian,
@@ -65,6 +66,16 @@ def two_layer(Zmax=4.0):
     )
 
 
+def three_layer():
+    # one genuine jump at z = 1.5 and one matched partition point at z = 3
+    return MaterialStack(
+        k0=K0,
+        sigma=1.0,
+        layers=(Layer(0.0, 1.5, 1.3, 0.08), Layer(1.5, 3.0, 1.1, 0.02),
+                Layer(3.0, 4.0, 1.1, 0.02)),
+    )
+
+
 def random_field(grid, seed=11):
     rng = np.random.default_rng(seed)
     shape = (grid.N + 7, grid.M)
@@ -79,30 +90,30 @@ class TestPerNodeRows:
         # every non-boundary row of the assembled system must agree with the
         # standalone row evaluator chosen by the node's material situation
         grid = quiet_grid(4.0, 32, extent, 12, geometry)
-        mat = two_layer()
-        problem = HelmholtzProblem(
-            grid, mat, einc_left=np.linspace(0.5, 1.0, 12).astype(complex)
-        )
-        E = random_field(grid)
-        res = problem.residual_complex(E.reshape(-1)).reshape(grid.N + 7, grid.M)
-        classes = classify_nodes(grid.longitudinal(), mat)
         interior = (
             residual_interior_cartesian
             if geometry == "cartesian"
             else residual_interior_cylindrical
         )
-        for n in range(-2, grid.N + 3):
-            nu_l, eps_l = sample_material(mat, grid.longitudinal(), n, "left")
-            nu_r, eps_r = sample_material(mat, grid.longitudinal(), n, "right")
-            cls = classes[n + 3]
-            for m in range(grid.M):
-                if cls is NodeClass.INTERFACE and (nu_l != nu_r or eps_l != eps_r):
-                    v = residual_interface(E, n, m, problem)
-                elif cls is NodeClass.EXTERIOR:
-                    v = residual_exterior(E, n, m, problem)
-                else:
-                    v = interior(E, n, m, problem)
-                assert v == pytest.approx(res[n + 3, m], abs=1e-11)
+        for mat in (two_layer(), three_layer()):
+            problem = HelmholtzProblem(
+                grid, mat, einc_left=np.linspace(0.5, 1.0, 12).astype(complex)
+            )
+            E = random_field(grid)
+            res = problem.residual_complex(E.reshape(-1)).reshape(grid.N + 7, grid.M)
+            classes = classify_nodes(grid.longitudinal(), mat)
+            for n in range(-2, grid.N + 3):
+                nu_l, eps_l = sample_material(mat, grid.longitudinal(), n, "left")
+                nu_r, eps_r = sample_material(mat, grid.longitudinal(), n, "right")
+                cls = classes[n + 3]
+                for m in range(grid.M):
+                    if cls is NodeClass.INTERFACE and (nu_l != nu_r or eps_l != eps_r):
+                        v = residual_interface(E, n, m, problem)
+                    elif cls is NodeClass.EXTERIOR:
+                        v = residual_exterior(E, n, m, problem)
+                    else:
+                        v = interior(E, n, m, problem)
+                    assert v == pytest.approx(res[n + 3, m], abs=1e-11)
 
     def test_geometry_guards(self):
         grid = quiet_grid(4.0, 32, 4.0, 8, "cylindrical")
@@ -186,6 +197,27 @@ class TestModeTransparency:
         assert report.converged
         exact = np.outer(q ** (np.arange(grid.N + 7) - 3.0), psi)
         assert np.abs(E.reshape(grid.N + 7, grid.M) - exact).max() < 1e-10
+
+
+class TestRightFace:
+    @pytest.mark.parametrize(
+        "geometry,extent", [("cartesian", 6.0), ("cylindrical", 4.0)]
+    )
+    def test_right_face_mirrors_left_face(self, geometry, extent):
+        # on a z-symmetric Kerr slab, driving the right face is the z-reversal
+        # (row n <-> N - n) of driving the left face
+        grid = quiet_grid(4.0, 32, extent, 12, geometry)
+        mat = MaterialStack(k0=K0, sigma=1.0, layers=(Layer(0.0, 4.0, 1.2, 0.05),))
+        einc = np.exp(-(grid.transverse_coords() / 1.5) ** 2).astype(complex)
+        left = HelmholtzProblem(grid, mat, einc_left=einc)
+        right = HelmholtzProblem(grid, mat, einc_right=einc)
+        shape = left.field_shape
+        assert np.array_equal(right.b.reshape(shape), left.b.reshape(shape)[::-1])
+        E_left, report_left = newton_solve(left)
+        E_right, report_right = newton_solve(right)
+        assert report_left.converged and report_right.converged
+        assert report_left.iterations > 1
+        assert np.abs(E_right - E_left[::-1]).max() <= 1e-12 * np.abs(E_left).max()
 
 
 class TestKerrBlocks:
@@ -381,27 +413,22 @@ class TestSlabReduction:
 
 class TestMaterialRows:
     def test_recipes_match_per_node_sampling(self):
-        # one genuine jump at z = 1.5 and one matched partition point at z = 3
-        mat = MaterialStack(
-            k0=K0,
-            sigma=1.0,
-            layers=(Layer(0.0, 1.5, 1.3, 0.08), Layer(1.5, 3.0, 1.1, 0.02),
-                    Layer(3.0, 4.0, 1.1, 0.02)),
-        )
+        mat = three_layer()
         grid = build_grid_1d(4.0, 32)
         classes = classify_nodes(grid, mat)
-        want = []
+        want_W, want_eps, want_interface = [], [], []
         for n in range(-2, grid.N + 3):
             nu_l, eps_l = sample_material(mat, grid, n, "left")
             nu_r, eps_r = sample_material(mat, grid, n, "right")
-            if classes[n + 3] is NodeClass.INTERFACE and (nu_l, eps_l) != (nu_r, eps_r):
-                want.append(("interface", 0.5 * (nu_l**2 + nu_r**2),
-                             0.5 * (eps_l + eps_r)))
-            else:
-                want.append(("generic", nu_r * nu_r, eps_r))
-        rows = _material_rows(grid, mat)
-        assert rows == want
-        assert [kind for kind, _, _ in rows].count("interface") == 3
+            jump = classes[n + 3] is NodeClass.INTERFACE and (nu_l, eps_l) != (nu_r, eps_r)
+            want_interface.append(jump)
+            want_W.append(0.5 * (nu_l**2 + nu_r**2) if jump else nu_r * nu_r)
+            want_eps.append(0.5 * (eps_l + eps_r) if jump else eps_r)
+        W, eps, interface = _material_rows(grid, mat)
+        assert np.array_equal(interface, want_interface)
+        assert np.array_equal(W, want_W)
+        assert np.array_equal(eps, want_eps)
+        assert interface.sum() == 3
 
 
 class TestVacuumSolve:

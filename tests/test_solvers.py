@@ -201,6 +201,16 @@ class TestNewton:
         assert report.converged
         assert report.iterations == 1
 
+    def test_linear_stack_one_exact_step(self):
+        # without a Kerr term the first full step is the solution, so no
+        # relaxed steps and one LU
+        problem = build_problem_1d(build_grid_1d(5.0, 128), slab(1.5, 0.0),
+                                   Incoming1D(EincL=1.0))
+        E, report = newton_solve(problem)
+        assert report.converged
+        assert report.iterations == report.factorizations == 1
+        assert np.abs(problem.residual_complex(E)).max() < 1e-8
+
     def test_divergence_reported_not_raised(self):
         config = NewtonConfig(max_iterations=60)
         _, report = newton_solve(kerr_problem(eps=10.0), config)
