@@ -13,8 +13,11 @@ longitudinal matrix of those coefficients, B one of six transverse blocks.
 The boundary rows use the transverse eigensystem: the ghost column one step
 outside the domain is a per-mode combination of incoming injection and
 one-step outward propagation, giving dense M x M blocks at those two rows
-only. With M=1 and mirror closures on both walls every transverse block is
-a scalar and the system is the slab problem that `helmholtz_1d` exposes.
+only. The same eigenbasis splits the uniform vacuum operator into M
+tridiagonal systems, which `vacuum_solve` factors once per problem and
+applies on each call. With M=1 and mirror closures on both walls every
+transverse block is a scalar and the system is the slab problem that
+`helmholtz_1d` exposes.
 
 Unknown ordering is n-major, m-minor; the real split interleaves (Re, Im)
 per node (see fields.to_real_split).
@@ -181,7 +184,7 @@ class HelmholtzProblem(KerrSystem):
                          field_shape=(grid.num_nodes, grid.M))
         self.mirror = self._section_mirror()
         self._vacuum: sp.csr_matrix | None = None
-        self._mode_bands: np.ndarray | None = None
+        self._mode_factor: list[np.ndarray] | None = None
 
     def _section_mirror(self) -> np.ndarray | None:
         """m <-> M-1-m within each row, kept only for a Cartesian section
@@ -217,32 +220,31 @@ class HelmholtzProblem(KerrSystem):
         with W = 1, eps = 0."""
         if self._vacuum is None:
             n = self.grid.num_nodes - 2
-            A0, _, _ = _assemble(self.grid, self.k0, np.ones(n), np.zeros(n),
-                                 np.zeros(n, dtype=bool), self.suite,
-                                 self.eigensystem, None, None)
-            self._vacuum = A0
+            self._vacuum, _, _ = _assemble(
+                self.grid, self.k0, np.ones(n), np.zeros(n), np.zeros(n, dtype=bool),
+                self.suite, self.eigensystem, None, None)
         return self._vacuum
 
     def vacuum_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Invert the vacuum operator by separation of variables: transform
-        each longitudinal row into the transverse eigenbasis, solve the M
-        uncoupled tridiagonal systems as one banded system, transform back."""
+        each row into the transverse eigenbasis, apply the LU of the M
+        tridiagonal systems (gttrf, once per problem), transform back."""
         grid, eig = self.grid, self.eigensystem
         R, M = grid.num_nodes, grid.M
-        if self._mode_bands is None:
+        if self._mode_factor is None:
             h, k0 = grid.h_z, self.k0
             c = (1.0 + k0 * k0 * h * h / 12.0) / (h * h)
-            # mode-major (3, M*R) bands; the off-diagonals are zero across
-            # mode-block boundaries, so the blocks stay uncoupled
-            bands = np.zeros((3, M, R), dtype=np.complex128)
-            bands[0, :, 1:] = c
-            bands[2, :, :-1] = c
-            bands[1] = (-2.0 * c + k0 * k0 + eig.eigenvalues)[:, None]
-            bands[1, :, 0] += c * eig.roots
-            bands[1, :, -1] += c * eig.roots
-            self._mode_bands = bands.reshape(3, M * R)
+            # mode-major; zero off-diagonals between mode blocks uncouple them
+            off = np.full(M * R - 1, c, dtype=np.complex128)
+            off[R - 1::R] = 0.0
+            main = np.repeat((-2.0 * c + k0 * k0 + eig.eigenvalues)[:, None], R, axis=1)
+            main[:, [0, -1]] += (c * eig.roots)[:, None]
+            *factor, info = scipy.linalg.lapack.zgttrf(off, main.reshape(-1), off)
+            if info:
+                raise np.linalg.LinAlgError("singular vacuum operator")
+            self._mode_factor = factor
         U = rhs.reshape(R, M) @ eig.modes_inverse.T
-        out = scipy.linalg.solve_banded((1, 1), self._mode_bands, U.T.reshape(-1))
+        out, _ = scipy.linalg.lapack.zgttrs(*self._mode_factor, U.T.reshape(-1))
         # row-major (R, M) as per-mode solves would fill it, so the
         # back-transform is the same BLAS call, bit for bit
         out = np.ascontiguousarray(out.reshape(M, R).T)

@@ -469,3 +469,24 @@ class TestVacuumSolve:
             out[:, l] = scipy.linalg.solve_banded((1, 1), bands, U[:, l])
         want = (out @ eig.modes.T).reshape(-1)
         assert np.array_equal(problem.vacuum_solve(rhs), want)
+
+    def test_tridiagonals_factored_once_per_problem(self, monkeypatch):
+        # the mode-major tridiagonal LU is computed on the first call and
+        # reused; a 1D problem shares it through its single-column problem
+        calls = []
+        factor = scipy.linalg.lapack.zgttrf
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].size)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "zgttrf", counted)
+        grid = quiet_grid(4.0, 32, 6.0, 12, "cartesian")
+        slab = Problem1D(build_grid_1d(4.0, 32), vacuum(4.0), Incoming1D(EincL=1.0))
+        rng = np.random.default_rng(9)
+        for problem in (HelmholtzProblem(grid, vacuum(4.0)), slab):
+            rhs = rng.normal(size=problem.size) + 1j * rng.normal(size=problem.size)
+            first = problem.vacuum_solve(rhs)
+            for _ in range(3):
+                assert np.array_equal(problem.vacuum_solve(rhs), first)
+        assert calls == [grid.num_nodes * grid.M, slab.grid.num_nodes]

@@ -59,6 +59,32 @@ def soliton_slab():
     return HelmholtzProblem(grid, mat, einc_left=beam)
 
 
+def weak_kerr_slab_2d(geometry, extent):
+    """32 x 12 weak-Kerr slab (nu = 1, eps = 0.05) driven by a Gaussian beam."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        grid = build_grid_multi(4.0, 32, extent, 12, geometry)
+    mat = MaterialStack(k0=K0, sigma=1.0, layers=(Layer(0.0, 4.0, 1.0, 0.05),))
+    einc = np.exp(-(grid.transverse_coords() / 1.5) ** 2).astype(complex)
+    return HelmholtzProblem(grid, mat, einc_left=einc)
+
+
+def born_assembled_reference(problem, config):
+    """The Born iteration with D = (A_lin - A0) + C diag(w) assembled as one
+    sparse matrix per outer step; (field, outer iterations)."""
+    D_base = (problem.A_lin - problem.vacuum_operator()).tocsr()
+    e = np.zeros(problem.size, dtype=np.complex128)
+    for iteration in range(1, config.max_iterations + 1):
+        D = (D_base + problem.C @ sp.diags(problem.kerr_weights(e), format="csr")).tocsr()
+        x = e
+        for _ in range(config.born_inner_iterations):
+            x = problem.vacuum_solve(problem.b - D @ x)
+        delta, e = np.abs(x - e).max(), x
+        if delta < config.convergence_tol:
+            break
+    return e.reshape(problem.field_shape), iteration
+
+
 def unfolded(problem):
     """The same problem with its mirror dropped: the full-size reference."""
     problem.mirror = None
@@ -314,6 +340,21 @@ class TestCrossMethod:
         assert report.factorizations == report.krylov_iterations == 0
         assert report.lu_fill == 0
         assert not report.mirror_folded
+
+    @pytest.mark.parametrize(
+        "geometry,extent", [("cartesian", 6.0), ("cylindrical", 4.0)]
+    )
+    def test_born_2d_matches_newton_and_assembled_sweep(self, geometry, extent):
+        # nu = 1 with a weak Kerr layer: the eps jump at the faces gives
+        # interface rows, so the sweep applies both A_lin - A0 and C diag(w)
+        problem = weak_kerr_slab_2d(geometry, extent)
+        E_newton, _ = newton_solve(problem)
+        E_born, report = solve(problem, method="born")
+        assert report.converged
+        assert np.abs(E_born - E_newton).max() <= 1e-8
+        E_ref, iterations = born_assembled_reference(problem, NewtonConfig())
+        assert report.iterations == iterations
+        assert np.abs(E_born - E_ref).max() <= 1e-12 * np.abs(E_ref).max()
 
     def test_born_blow_up_reported_as_nan(self):
         # nu = 1.5 puts the linear contrast outside the vacuum sweep's
