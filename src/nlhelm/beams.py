@@ -360,7 +360,7 @@ class ConvergenceTable:
         out = []
         for i, (N, M) in enumerate(self.levels):
             diff = self.diffs[i] if i < len(self.diffs) else None
-            rate = self.rates[i - 1] if 1 <= i - 0 and i - 1 < len(self.rates) else None
+            rate = self.rates[i - 1] if 1 <= i <= len(self.rates) else None
             out.append((N, M, diff, rate))
         return out
 

@@ -73,12 +73,13 @@ class RunConfig:
     M: int = 1
     beam_left: dict | None = None
     beam_right: dict | None = None
-    solver: str = "newton"
-    omega: float = 0.5
-    switch_threshold: float = 0.01
-    convergence_tol: float = 1e-12
-    max_iterations: int = 200
-    born_inner_iterations: int = 5
+    solver: str = "newton"   # a key of solvers.METHODS
+    # NewtonConfig's settings, copied into it by newton_config()
+    omega: float = NewtonConfig.omega
+    switch_threshold: float = NewtonConfig.switch_threshold
+    convergence_tol: float = NewtonConfig.convergence_tol
+    max_iterations: int = NewtonConfig.max_iterations
+    born_inner_iterations: int = NewtonConfig.born_inner_iterations
     output_dir: str | None = None
     desk_scaled: bool = False
 
@@ -89,14 +90,9 @@ class RunConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def newton_config(self, initial_guess=None) -> NewtonConfig:
-        return NewtonConfig(
-            omega=self.omega,
-            switch_threshold=self.switch_threshold,
-            convergence_tol=self.convergence_tol,
-            max_iterations=self.max_iterations,
-            initial_guess=initial_guess,
-            born_inner_iterations=self.born_inner_iterations,
-        )
+        settings = {f.name: getattr(self, f.name) for f in dataclasses.fields(NewtonConfig)
+                    if f.name != "initial_guess"}
+        return NewtonConfig(initial_guess=initial_guess, **settings)
 
 
 _REQUIRED = ("name", "geometry", "Zmax", "N", "k0", "sigma", "layers")
@@ -124,7 +120,7 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
             raise ConfigError(f"{source}: extent: required for multi-D runs")
         if cfg.M < 1:
             raise ConfigError(f"{source}: M: must be at least 1")
-    if cfg.solver not in ("newton", "freezing", "born"):
+    if cfg.solver not in solvers.METHODS:
         raise ConfigError(f"{source}: solver: unknown value {cfg.solver!r}")
     if not cfg.layers:
         raise ConfigError(f"{source}: layers: must be non-empty")
@@ -242,17 +238,23 @@ def _atomic_write(path: Path, data: bytes | str):
             tmp.unlink()
 
 
+def _grid_header(grid, k0: float) -> dict:
+    """The grid facts a field file carries, as read_field returns them."""
+    if isinstance(grid, GridMultiD):
+        return {"geometry": grid.geometry, "N": grid.N, "M": grid.M,
+                "h_z": grid.h_z, "h_perp": grid.h_perp, "k0": k0}
+    return {"geometry": "1d", "N": grid.N, "M": 1, "h_z": grid.h, "h_perp": 0.0, "k0": k0}
+
+
 def write_field(path, E: np.ndarray, grid, k0: float) -> None:
     """Binary field file: 16-byte magic, (geometry, N, M) as little-endian
     u64, (h_z, h_perp, k0) as little-endian f64, then the complex nodes
     row-major as little-endian f64 (Re, Im) pairs."""
-    if isinstance(grid, GridMultiD):
-        tag, M, h_z, h_perp = _GEOMETRY_TAGS[grid.geometry], grid.M, grid.h_z, grid.h_perp
-    else:
-        tag, M, h_z, h_perp = _GEOMETRY_TAGS["1d"], 1, grid.h, 0.0
+    head = _grid_header(grid, k0)
     buf = io.BytesIO()
     buf.write(MAGIC)
-    buf.write(struct.pack("<QQQddd", tag, grid.N, M, h_z, h_perp, k0))
+    buf.write(struct.pack("<QQQddd", _GEOMETRY_TAGS[head["geometry"]], head["N"],
+                          head["M"], head["h_z"], head["h_perp"], head["k0"]))
     buf.write(np.ascontiguousarray(E, dtype=np.complex128).astype("<c16").tobytes())
     _atomic_write(Path(path), buf.getvalue())
 
@@ -263,21 +265,15 @@ def read_field(path) -> tuple[dict, np.ndarray]:
     if raw[:16] != MAGIC:
         raise ValueError(f"{path}: not a field file (bad magic)")
     tag, N, M, h_z, h_perp, k0 = struct.unpack_from("<QQQddd", raw, 16)
-    header = {
-        "geometry": _GEOMETRY_NAMES[tag],
-        "N": int(N),
-        "M": int(M),
-        "h_z": h_z,
-        "h_perp": h_perp,
-        "k0": k0,
-    }
+    header = {"geometry": _GEOMETRY_NAMES[tag], "N": N, "M": M,
+              "h_z": h_z, "h_perp": h_perp, "k0": k0}
     body = np.frombuffer(raw, dtype="<c16", offset=16 + struct.calcsize("<QQQddd"))
-    count = (int(N) + 7) * int(M)
+    count = (N + 7) * M
     if body.size != count:
         raise ValueError(f"{path}: expected {count} nodes, found {body.size}")
     E = body.astype(np.complex128)
     if header["geometry"] != "1d":
-        E = E.reshape(int(N) + 7, int(M))
+        E = E.reshape(N + 7, M)
     return header, E
 
 
@@ -289,25 +285,7 @@ def _csv(rows, header: str) -> str:
 
 
 def _report_dict(report: solvers.SolveReport, runtime: float) -> dict:
-    return {
-        "converged": report.converged,
-        "iterations": report.iterations,
-        "max_amplitude": report.max_amplitude,
-        "divergence_reason": report.divergence_reason,
-        "factorizations": report.factorizations,
-        "krylov_iterations": report.krylov_iterations,
-        "lu_fill": report.lu_fill,
-        "mirror_folded": report.mirror_folded,
-        "runtime_seconds": runtime,
-        "history": [
-            {
-                "step_norm": h.step_norm,
-                "residual_norm": h.residual_norm,
-                "applied_step_norm": h.applied_step_norm,
-            }
-            for h in report.history
-        ],
-    }
+    return {**dataclasses.asdict(report), "runtime_seconds": runtime}
 
 
 def resolve_output_dir(cfg: RunConfig) -> Path:
@@ -323,15 +301,10 @@ def write_outputs(out_dir: Path, cfg: RunConfig, E: np.ndarray, grid, mat,
                   report: solvers.SolveReport, runtime: float) -> None:
     write_field(out_dir / "field.bin", E, grid, mat.k0)
     meta = {
+        **_grid_header(grid, mat.k0),
         "magic": MAGIC.rstrip(b"\x00").decode(),
-        "geometry": cfg.geometry,
-        "N": grid.N,
-        "M": getattr(grid, "M", 1),
-        "h_z": grid.h,
-        "h_perp": getattr(grid, "h_perp", 0.0),
-        "k0": mat.k0,
         "Zmax": grid.Zmax,
-        "extent": getattr(grid, "extent", None),
+        "extent": None if cfg.geometry == "1d" else grid.extent,
         "sigma": mat.sigma,
         "config": cfg.to_dict(),
     }
@@ -360,67 +333,21 @@ def write_outputs(out_dir: Path, cfg: RunConfig, E: np.ndarray, grid, mat,
 
 # --- presets -------------------------------------------------------------------
 
-def _soliton_preset(desk: bool) -> RunConfig:
-    Zmax, N = (40.0, 382) if desk else (240.0, 4480)
-    eps = 1.0 / 16.0
-    return RunConfig(
-        name="soliton-2d-desk" if desk else "soliton-2d-paper",
-        geometry="cartesian",
-        Zmax=Zmax,
-        N=N,
-        extent=12.0,
-        M=112,
-        k0=4.0,
-        sigma=1.0,
-        layers=[{"z_from": 0.0, "z_to": Zmax, "nu": 1.0, "eps": eps}],
-        beam_left={"shape": "sech", "r0": math.sqrt(2.0), "adjust": True},
-        desk_scaled=desk,
-    )
-
-
-def _collapse_preset(desk: bool) -> RunConfig:
-    N, M = (432, 144) if desk else (1080, 360)
-    return RunConfig(
-        name="collapse-cyl-desk" if desk else "collapse-cyl-paper",
-        geometry="cylindrical",
-        Zmax=9.0,
-        N=N,
-        extent=3.5,
-        M=M,
-        k0=8.0,
-        sigma=1.0,
-        layers=[{"z_from": 0.0, "z_to": 9.0, "nu": 1.0, "eps": 0.15}],
-        beam_left={"shape": "gaussian", "width": 1.0, "adjust": True},
-        desk_scaled=desk,
-    )
-
-
-def _quintic_preset(desk: bool) -> RunConfig:
-    N, M = (240, 80) if desk else (480, 160)
-    return RunConfig(
-        name="collapse-quintic-desk" if desk else "collapse-quintic-paper",
-        geometry="cartesian",
-        Zmax=6.0,
-        N=N,
-        extent=3.0,
-        M=M,
-        k0=8.0,
-        sigma=2.0,
-        layers=[{"z_from": 0.0, "z_to": 6.0, "nu": 1.0, "eps": 0.125}],
-        beam_left={"shape": "gaussian", "width": 1.0, "adjust": True},
-        desk_scaled=desk,
-    )
-
-
+# base name -> (geometry, k0, sigma, eps, extent, beam_left,
+#               {scale: (Zmax, N, M)}); a preset is f"{base}-{scale}"
 _PRESETS = {
-    "soliton-2d-paper": lambda: _soliton_preset(False),
-    "soliton-2d-desk": lambda: _soliton_preset(True),
-    "collapse-cyl-paper": lambda: _collapse_preset(False),
-    "collapse-cyl-desk": lambda: _collapse_preset(True),
-    "collapse-quintic-paper": lambda: _quintic_preset(False),
-    "collapse-quintic-desk": lambda: _quintic_preset(True),
+    "soliton-2d": ("cartesian", 4.0, 1.0, 1.0 / 16.0, 12.0,
+                   {"shape": "sech", "r0": math.sqrt(2.0), "adjust": True},
+                   {"desk": (40.0, 382, 112), "paper": (240.0, 4480, 112)}),
+    "collapse-cyl": ("cylindrical", 8.0, 1.0, 0.15, 3.5,
+                     {"shape": "gaussian", "width": 1.0, "adjust": True},
+                     {"desk": (9.0, 432, 144), "paper": (9.0, 1080, 360)}),
+    "collapse-quintic": ("cartesian", 8.0, 2.0, 0.125, 3.0,
+                         {"shape": "gaussian", "width": 1.0, "adjust": True},
+                         {"desk": (6.0, 240, 80), "paper": (6.0, 480, 160)}),
 }
-PRESET_NAMES = sorted(_PRESETS)
+PRESET_NAMES = sorted(f"{base}-{scale}" for base, row in _PRESETS.items()
+                      for scale in row[-1])
 
 
 def preset(name: str, scale: str | None = None) -> RunConfig:
@@ -429,11 +356,18 @@ def preset(name: str, scale: str | None = None) -> RunConfig:
     if scale is not None:
         base = name.rsplit("-", 1)[0] if name.endswith(("-paper", "-desk")) else name
         key = f"{base}-{scale}"
-    if key not in _PRESETS:
+    if key not in PRESET_NAMES:
         raise ConfigError(
             f"unknown preset {key!r}; available: {', '.join(PRESET_NAMES)}"
         )
-    return _PRESETS[key]()
+    base, _, scale = key.rpartition("-")
+    geometry, k0, sigma, eps, extent, beam, sizes = _PRESETS[base]
+    Zmax, N, M = sizes[scale]
+    return RunConfig(
+        name=key, geometry=geometry, Zmax=Zmax, N=N, extent=extent, M=M, k0=k0,
+        sigma=sigma, layers=[{"z_from": 0.0, "z_to": Zmax, "nu": 1.0, "eps": eps}],
+        beam_left=dict(beam), desk_scaled=scale == "desk",
+    )
 
 
 # --- subcommand drivers ---------------------------------------------------------

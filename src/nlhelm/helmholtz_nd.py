@@ -113,18 +113,17 @@ def _transverse_blocks(suite: TransverseSuite, eig: TransverseEigensystem,
 
 
 def _assemble(grid: GridMultiD, k0: float, W: np.ndarray, eps: np.ndarray,
-              interface: np.ndarray, suite: TransverseSuite,
-              eig: TransverseEigensystem,
+              interface: np.ndarray, blocks: tuple, eig: TransverseEigensystem,
               einc_left: np.ndarray | None, einc_right: np.ndarray | None):
     """(A_lin, C, b) for the per-row coefficients of _material_rows.
 
-    A_lin and C are fixed sums of kron(Z, B): B a block of
+    A_lin and C are fixed sums of kron(Z, B): B one of the `blocks` of
     _transverse_blocks, Z an R x R longitudinal matrix of per-row
     coefficients, zero on the rows the term does not touch. Rows 0 and R-1
     are the two-way boundary rows.
     """
     R, M, h = grid.num_nodes, grid.M, grid.h_z
-    I_M, A_t, T2, T_L, boundary, compact = _transverse_blocks(suite, eig, k0, h)
+    I_M, A_t, T2, T_L, boundary, compact = blocks
     c = (1.0 + k0 * k0 * h * h / 12.0) / (h * h)
     W, eps = np.pad(W, 1), np.pad(eps, 1)
     iface, compact_row = np.pad(interface, 1), np.pad(~interface, 1)
@@ -176,8 +175,10 @@ class HelmholtzProblem(KerrSystem):
         self.suite = build_transverse_suite(grid, mat.k0, bottom, top)
         self.eigensystem = eigensolve_transverse(
             self.suite.laplacian, mat.k0, grid.h_z)
+        self._blocks = _transverse_blocks(self.suite, self.eigensystem,
+                                          mat.k0, grid.h_z)
         A, C, b = _assemble(grid, mat.k0, *_material_rows(grid, mat),
-                            self.suite, self.eigensystem,
+                            self._blocks, self.eigensystem,
                             self._check_profile(einc_left),
                             self._check_profile(einc_right))
         super().__init__(A, C, b, mat.sigma,
@@ -195,8 +196,7 @@ class HelmholtzProblem(KerrSystem):
         if grid.geometry != "cartesian" or M % 2:
             return None
         flip = np.arange(M)[::-1]
-        parts = (*_transverse_blocks(self.suite, self.eigensystem, self.k0, grid.h_z),
-                 self.b[:M], self.b[-M:])
+        parts = (*self._blocks, self.b[:M], self.b[-M:])
         if all(mirror_invariant(x, flip) for x in parts):
             return (np.arange(grid.num_nodes)[:, None] * M + flip).reshape(-1)
         return None
@@ -222,7 +222,7 @@ class HelmholtzProblem(KerrSystem):
             n = self.grid.num_nodes - 2
             self._vacuum, _, _ = _assemble(
                 self.grid, self.k0, np.ones(n), np.zeros(n), np.zeros(n, dtype=bool),
-                self.suite, self.eigensystem, None, None)
+                self._blocks, self.eigensystem, None, None)
         return self._vacuum
 
     def vacuum_solve(self, rhs: np.ndarray) -> np.ndarray:

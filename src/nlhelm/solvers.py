@@ -398,7 +398,7 @@ def born_solve(problem: KerrSystem, config: NewtonConfig | None = None):
                                                vacuum_sweeps, exact))
 
 
-_METHODS = {
+METHODS = {
     "newton": newton_solve,
     "freezing": freezing_solve,
     "born": born_solve,
@@ -408,7 +408,7 @@ _METHODS = {
 def solve(problem: KerrSystem, config: NewtonConfig | None = None,
           method: str = "newton"):
     try:
-        fn = _METHODS[method]
+        fn = METHODS[method]
     except KeyError:
-        raise ValueError(f"unknown solver {method!r}; choose from {sorted(_METHODS)}") from None
+        raise ValueError(f"unknown solver {method!r}; choose from {sorted(METHODS)}") from None
     return fn(problem, config)

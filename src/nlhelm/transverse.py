@@ -179,14 +179,8 @@ def _stencil_matrix(M: int, derivative: int, accuracy: int,
                     h: float) -> sp.csr_matrix:
     """M x (M+4) application of a central stencil on the extended vector."""
     coeffs = central(derivative, accuracy)
-    den = coeffs.scale(h)
-    rows, cols, vals = [], [], []
-    for m in range(M):
-        for off, w in zip(coeffs.offsets, coeffs.weights):
-            rows.append(m)
-            cols.append(m + off + 2)
-            vals.append(w / den)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(M, M + 4))
+    return sp.diags(np.array(coeffs.weights) / coeffs.scale(h),
+                    np.array(coeffs.offsets) + 2, shape=(M, M + 4), format="csr")
 
 
 def default_closures(grid: GridMultiD, k0: float,

@@ -2,6 +2,7 @@
 registry, the binary field format, and end-to-end subcommand runs with their
 exit-code contract (0 converged, 2 controlled non-convergence, 1 error)."""
 
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,7 @@ import pytest
 import scipy.sparse.linalg
 
 from nlhelm import ConfigError, build_grid_1d, build_grid_multi
+from nlhelm.solvers import HistoryEntry, SolveReport
 from nlhelm.cli import (
     PRESET_NAMES,
     RunConfig,
@@ -89,6 +91,15 @@ class TestPresets:
         for name in PRESET_NAMES:
             cfg = preset(name)
             assert parse_config(json.loads(cfg.to_json())) == cfg
+
+    def test_each_call_returns_fresh_objects(self):
+        for name in PRESET_NAMES:
+            first = preset(name)
+            expected = first.to_json()
+            first.beam_left["shape"] = "custom"
+            first.layers[0]["eps"] = -1.0
+            first.layers.append({"z_from": 0.0, "z_to": 1.0, "nu": 2.0, "eps": 0.0})
+            assert preset(name).to_json() == expected
 
 
 class TestConfigParsing:
@@ -246,6 +257,29 @@ class TestSolveCommand:
         assert flux_lines[0] == "z,beam_power"
         assert len(flux_lines) > raw["N"]
         assert "converged" in capsys.readouterr().out
+
+    def test_report_holds_every_solve_report_field(self, tmp_path):
+        path, _ = write_config(tmp_path)
+        assert main(["solve", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        fields = {f.name for f in dataclasses.fields(SolveReport)}
+        assert set(report) == fields | {"runtime_seconds"}
+        entry_fields = {f.name for f in dataclasses.fields(HistoryEntry)}
+        assert report["history"]
+        assert all(set(entry) == entry_fields for entry in report["history"])
+
+    @pytest.mark.parametrize("over", [
+        {},
+        dict(geometry="cylindrical", Zmax=2.0, N=24, extent=3.0, M=12,
+             layers=[{"z_from": 0.0, "z_to": 2.0, "nu": 1.0, "eps": 0.1}],
+             beam_left={"shape": "gaussian", "width": 1.0, "adjust": True}),
+    ], ids=["1d", "cylindrical"])
+    def test_meta_header_matches_field_file(self, tmp_path, over):
+        path, _ = write_config(tmp_path, **over)
+        assert main(["solve", str(path)]) == 0
+        header, _ = read_field(tmp_path / "out" / "field.bin")
+        meta = json.loads((tmp_path / "out" / "field.meta.json").read_text())
+        assert {key: meta[key] for key in header} == header
 
     def test_divergent_run_exits_two_with_report(self, tmp_path, capsys):
         # the weak-contrast iteration has a finite convergence domain; at
