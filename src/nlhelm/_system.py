@@ -159,3 +159,7 @@ class KerrSystem:
 
     def vacuum_solve(self, rhs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def vacuum_folds(self) -> bool:
+        """Whether vacuum_solve also takes the mirror fold of a symmetric rhs."""
+        return False

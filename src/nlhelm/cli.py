@@ -97,6 +97,10 @@ class RunConfig:
 
 _REQUIRED = ("name", "geometry", "Zmax", "N", "k0", "sigma", "layers")
 _ALIASES = {"cartesian2d": "cartesian"}
+# RunConfig's numeric fields by annotation (a string here, see the
+# __future__ import): the JSON values each accepts and how to name them
+_NUMBER_FIELDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+                  "float | None": ((int, float, type(None)), "a number")}
 
 
 def parse_config(data: dict, source: str = "<config>") -> RunConfig:
@@ -113,6 +117,12 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
     data = dict(data)
     data["geometry"] = _ALIASES.get(data["geometry"], data["geometry"])
     cfg = RunConfig(**data)
+    for f in dataclasses.fields(RunConfig):
+        if f.type in _NUMBER_FIELDS:
+            kinds, noun = _NUMBER_FIELDS[f.type]
+            value = getattr(cfg, f.name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigError(f"{source}: {f.name}: must be {noun}, got {value!r}")
     if cfg.geometry not in _GEOMETRY_TAGS:
         raise ConfigError(f"{source}: geometry: unknown value {cfg.geometry!r}")
     if cfg.geometry != "1d":

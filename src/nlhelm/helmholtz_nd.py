@@ -25,18 +25,22 @@ per node (see fields.to_real_split).
 A Cartesian section with even M whose transverse blocks and boundary-row
 forcing are invariant under m <-> M-1-m (a centred, untilted, even beam
 between like walls) gets that reflection within each row as its `mirror`,
-and the solvers then solve their linear systems on half the unknowns; the
-problem, its field and every output stay full size.
+and the solvers then solve their linear systems on half the unknowns;
+`vacuum_solve` likewise takes a folded rhs and inverts it on the even
+transverse modes for Born's sweep. The problem, its field and every output
+stay full size.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
 from . import solvers
-from ._system import KerrSystem, kerr_block_entries, mirror_invariant
+from ._system import CONTRACT_SCALE, KerrSystem, kerr_block_entries, mirror_invariant
 from .fields import (
     EXTERIOR_EPS,
     EXTERIOR_NU,
@@ -185,7 +189,6 @@ class HelmholtzProblem(KerrSystem):
                          field_shape=(grid.num_nodes, grid.M))
         self.mirror = self._section_mirror()
         self._vacuum: sp.csr_matrix | None = None
-        self._mode_factor: list[np.ndarray] | None = None
 
     def _section_mirror(self) -> np.ndarray | None:
         """m <-> M-1-m within each row, kept only for a Cartesian section
@@ -225,30 +228,85 @@ class HelmholtzProblem(KerrSystem):
                 self._blocks, self.eigensystem, None, None)
         return self._vacuum
 
+    def _mode_lu(self, modes) -> list[np.ndarray]:
+        """gttrf factor of the vacuum operator's tridiagonal systems for the
+        transverse modes indexed by `modes`, stacked mode-major; zero
+        off-diagonals between mode blocks uncouple them."""
+        eig, R, h, k0 = self.eigensystem, self.grid.num_nodes, self.grid.h_z, self.k0
+        lam, roots = eig.eigenvalues[modes], eig.roots[modes]
+        c = (1.0 + k0 * k0 * h * h / 12.0) / (h * h)
+        off = np.full(lam.size * R - 1, c, dtype=np.complex128)
+        off[R - 1::R] = 0.0
+        main = np.repeat((-2.0 * c + k0 * k0 + lam)[:, None], R, axis=1)
+        main[:, [0, -1]] += (c * roots)[:, None]
+        *factor, info = scipy.linalg.lapack.zgttrf(off, main.reshape(-1), off)
+        if info:
+            raise np.linalg.LinAlgError("singular vacuum operator")
+        return factor
+
+    @cached_property
+    def _vacuum_inverse(self):
+        """(forward transform, tridiagonal LU, back transform) of vacuum_solve
+        on full rows, built on first use."""
+        eig = self.eigensystem
+        return eig.modes_inverse.T, self._mode_lu(slice(None)), eig.modes.T
+
+    @cached_property
+    def _folded_vacuum_inverse(self):
+        """The same on the mirror fold, or None without a mirror or when the
+        modes do not split into M/2 even and M/2 odd ones.
+
+        A folded row holds the first M/2 nodes, each standing for itself and
+        its mirror image. A symmetric rhs has no odd-mode component, so the
+        forward transform sums the two mirror halves of the inverse modes and
+        keeps the even modes, and the back transform fills the first M/2
+        nodes from those modes."""
+        even = None if self.mirror is None else _even_modes(self.eigensystem.modes)
+        if even is None:
+            return None
+        eig, m = self.eigensystem, self.grid.M // 2
+        inverse = eig.modes_inverse.T
+        forward = (inverse[:m] + inverse[m:][::-1])[:, even]
+        return forward, self._mode_lu(even), eig.modes.T[even][:, :m]
+
+    def vacuum_folds(self) -> bool:
+        """Whether vacuum_solve takes a mirror-folded rhs."""
+        return self._folded_vacuum_inverse is not None
+
     def vacuum_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Invert the vacuum operator by separation of variables: transform
-        each row into the transverse eigenbasis, apply the LU of the M
-        tridiagonal systems (gttrf, once per problem), transform back."""
-        grid, eig = self.grid, self.eigensystem
-        R, M = grid.num_nodes, grid.M
-        if self._mode_factor is None:
-            h, k0 = grid.h_z, self.k0
-            c = (1.0 + k0 * k0 * h * h / 12.0) / (h * h)
-            # mode-major; zero off-diagonals between mode blocks uncouple them
-            off = np.full(M * R - 1, c, dtype=np.complex128)
-            off[R - 1::R] = 0.0
-            main = np.repeat((-2.0 * c + k0 * k0 + eig.eigenvalues)[:, None], R, axis=1)
-            main[:, [0, -1]] += (c * eig.roots)[:, None]
-            *factor, info = scipy.linalg.lapack.zgttrf(off, main.reshape(-1), off)
-            if info:
-                raise np.linalg.LinAlgError("singular vacuum operator")
-            self._mode_factor = factor
-        U = rhs.reshape(R, M) @ eig.modes_inverse.T
-        out, _ = scipy.linalg.lapack.zgttrs(*self._mode_factor, U.T.reshape(-1))
-        # row-major (R, M) as per-mode solves would fill it, so the
+        each row into the transverse eigenbasis, apply the LU of the per-mode
+        tridiagonal systems (gttrf, once per problem), transform back.
+
+        A half-size rhs is the mirror fold of a symmetric one, laid out as
+        solvers._mirror_fold does (the first M/2 nodes of each row); its
+        solution comes back folded the same way and is computed on the M/2
+        even modes only (see vacuum_folds)."""
+        R = self.grid.num_nodes
+        full = rhs.size == self.size
+        parts = self._vacuum_inverse if full else self._folded_vacuum_inverse
+        if parts is None:
+            raise ValueError(f"rhs has {rhs.size} nodes, problem has {self.size} "
+                             "and no mirror fold")
+        forward, factor, back = parts
+        U = rhs.reshape(R, -1) @ forward
+        out, _ = scipy.linalg.lapack.zgttrs(*factor, U.T.reshape(-1))
+        # row-major (R, modes) as per-mode solves would fill it, so the
         # back-transform is the same BLAS call, bit for bit
-        out = np.ascontiguousarray(out.reshape(M, R).T)
-        return (out @ eig.modes.T).reshape(-1)
+        out = np.ascontiguousarray(out.reshape(back.shape[0], R).T)
+        return (out @ back).reshape(-1)
+
+
+def _even_modes(modes: np.ndarray) -> np.ndarray | None:
+    """Indices of the columns of `modes` that are even under m <-> M-1-m, if
+    exactly half are even and the other half odd (each to CONTRACT_SCALE of
+    the column's largest entry); else None (a degenerate pair mixing
+    parity)."""
+    flipped, scale = modes[::-1], CONTRACT_SCALE * np.abs(modes).max(axis=0)
+    even = np.abs(flipped - modes).max(axis=0) <= scale
+    odd = np.abs(flipped + modes).max(axis=0) <= scale
+    half = modes.shape[0] / 2
+    return np.flatnonzero(even) if even.sum() == odd.sum() == half else None
 
 
 def solve_nd(grid: GridMultiD, mat: MaterialStack,

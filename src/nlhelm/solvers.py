@@ -24,8 +24,9 @@ the initial field is symmetric under it, each sparse linear system is solved
 for a mirror-symmetric solution on one unknown per mirror orbit,
 J_h = J[H] @ S with S the 0/1 unfold matrix, and unfolded by a gather. The
 folded system is the half-section problem with a mirror closure on the axis;
-the residual contract is checked on it. The iterate, the residual and the
-Jacobian stay full size.
+the residual contract is checked on it. born_solve runs its whole sweep on
+the fold in the same way, with the vacuum inverse on the even transverse
+modes. The iterate, the residual and the Jacobian stay full size.
 
 All three return (field, SolveReport) and never raise on non-convergence;
 controlled failure is reported through the SolveReport.
@@ -373,29 +374,47 @@ def born_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     """Freezing outer loop with born_inner_iterations vacuum-preconditioned
     sweeps E <- A0^{-1} (b - (A_lin - A0) E - C (w E)) per outer step, w the
     frozen |E|^{2 sigma} and A0 the uniform linear operator, solved by
-    separation of variables; A(w) - A0 is applied term by term, not built."""
+    separation of variables; A(w) - A0 is applied term by term, not built.
+
+    A mirror-symmetric problem whose vacuum_solve takes the fold (see
+    HelmholtzProblem.vacuum_folds) sweeps on one node per mirror orbit:
+    A_lin - A0, C and b are folded once and each outer step unfolds its
+    iterate by the gather."""
     config = config or NewtonConfig()
     e = _initial_field(problem, config)
     D_base = (problem.A_lin - problem.vacuum_operator()).tocsr()
     exact = D_base.nnz == 0 and not problem.has_kerr
     sweeps = 1 if exact else config.born_inner_iterations
+    C, b = problem.C, problem.b
+    fold = _mirror_fold(problem, e, real_split=False)
+    if fold is not None and problem.vacuum_folds():
+        H, S, gather = fold
+        D_base, C, b = D_base[H] @ S, C[H] @ S, b[H]
+    else:
+        fold = None
 
     def vacuum_sweeps(w, e):
-        x = e
+        if fold is not None:
+            w, e = w[H], e[H]
+        x, reason = e, None
         # a diverging sweep may overflow to inf mid-iteration; that is a
         # reported outcome, not an error
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(sweeps):
-                rhs = problem.b - D_base @ x
+                rhs = b - D_base @ x
                 if problem.has_kerr:
-                    rhs -= problem.C @ (w * x)
+                    rhs -= C @ (w * x)
                 if not np.all(np.isfinite(rhs)):
-                    return x, "NaN"
+                    reason = "NaN"
+                    break
                 x = problem.vacuum_solve(rhs)
-        return x, (None if np.all(np.isfinite(x)) else "NaN")
+        if reason is None and not np.all(np.isfinite(x)):
+            reason = "NaN"
+        return (x if fold is None else x[gather]), reason
 
     return _finish(problem, *_frozen_iteration(problem, config, e,
-                                               vacuum_sweeps, exact))
+                                               vacuum_sweeps, exact),
+                   mirror_folded=fold is not None)
 
 
 METHODS = {

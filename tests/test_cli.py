@@ -339,6 +339,18 @@ class TestSolveCommand:
         assert "geometry" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("N", "64"), ("Zmax", "5.0"), ("k0", None), ("sigma", True), ("extent", "6"),
+        ("M", 8.0), ("omega", [0.5]), ("switch_threshold", "0.01"),
+        ("convergence_tol", {}), ("max_iterations", 2.5), ("born_inner_iterations", "5"),
+    ])
+    def test_mistyped_number_exits_one_naming_field(self, tmp_path, capsys, field, value):
+        path, _ = write_config(tmp_path, **{field: value})
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{field}: must be" in err
+        assert not (tmp_path / "out").exists()
+
 class TestPresetCommand:
     def test_stdout_emission(self, capsys):
         assert main(["preset", "collapse-cyl-desk"]) == 0

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -25,8 +26,10 @@ from nlhelm import (
     SingularMatrix,
     build_grid_1d,
     build_grid_multi,
+    born_solve,
     build_problem_1d,
     freezing_solve,
+    helmholtz_nd,
     make_incoming,
     newton_solve,
     solve,
@@ -438,6 +441,51 @@ class TestMirrorFold:
         assert 0 < report.lu_fill < ref.lu_fill
 
 
+    def test_born_matches_unfolded_reference(self, monkeypatch):
+        problem = soliton_slab()
+        rhs_sizes, factor_sizes = [], []
+        vacuum_solve = HelmholtzProblem.vacuum_solve
+        factor = scipy.linalg.lapack.zgttrf
+
+        def spy_solve(self, rhs):
+            rhs_sizes.append(rhs.size)
+            return vacuum_solve(self, rhs)
+
+        def spy_factor(*args, **kwargs):
+            factor_sizes.append(args[1].size)
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(HelmholtzProblem, "vacuum_solve", spy_solve)
+        monkeypatch.setattr(scipy.linalg.lapack, "zgttrf", spy_factor)
+        config = NewtonConfig()
+        E, report = born_solve(problem, config)
+        assert report.mirror_folded
+        sweeps = report.iterations * config.born_inner_iterations
+        assert rhs_sizes == [problem.size // 2] * sweeps
+        # the even-mode tridiagonals: half the modes, factored once
+        assert factor_sizes == [problem.size // 2]
+        monkeypatch.undo()
+
+        E_ref, ref = born_solve(unfolded(soliton_slab()), config)
+        assert not ref.mirror_folded
+        assert report.converged and ref.converged
+        assert report.divergence_reason == ref.divergence_reason
+        assert report.iterations == ref.iterations
+        assert np.abs(E - E_ref).max() <= 1e-12 * np.abs(E_ref).max()
+        assert np.array_equal(E, E[:, ::-1])
+
+    def test_born_runs_unfolded_without_parity_split(self, monkeypatch):
+        # a degenerate mode pair mixing parity leaves no even-mode basis
+        monkeypatch.setattr(helmholtz_nd, "_even_modes", lambda modes: None)
+        problem = soliton_slab()
+        assert problem.mirror is not None and not problem.vacuum_folds()
+        E, report = born_solve(problem)
+        E_ref, ref = born_solve(unfolded(soliton_slab()))
+        assert report.converged and not report.mirror_folded
+        assert report.iterations == ref.iterations
+        assert np.array_equal(E, E_ref)
+
+
 class TestDeterminism:
     def test_repeat_solves_bitwise_identical(self):
         E1, r1 = newton_solve(kerr_problem())
@@ -447,6 +495,15 @@ class TestDeterminism:
         assert [h.step_norm for h in r1.history] == [
             h.step_norm for h in r2.history
         ]
+
+    def test_repeat_folded_born_bitwise_identical(self):
+        problem = soliton_slab()
+        E1, r1 = born_solve(problem)
+        E2, r2 = born_solve(problem)
+        E3, r3 = born_solve(soliton_slab())
+        assert r1.mirror_folded and r1.converged
+        assert np.array_equal(E1, E2) and np.array_equal(E1, E3)
+        assert r1.history == r2.history == r3.history
 
     def test_repeat_reuse_solves_bitwise_identical(self):
         problem = soliton_slab()
