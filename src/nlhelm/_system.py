@@ -10,8 +10,9 @@ terms on E) and C the coupling coefficients multiplying P. The solvers in
 `solvers` only see this interface.
 
 A system may carry a mirror: a fixed-point-free involution of the nodes under
-which A_lin, C and b are invariant (to CONTRACT_SCALE). The solvers then solve
-their linear systems for mirror-symmetric updates on one node per orbit.
+which A_lin, C and b are invariant (to CONTRACT_SCALE). The fold transforms
+the problem: for a symmetric start mirror_fold gives the half system on one
+node per orbit, a KerrSystem itself, which the solvers iterate on.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = ["KerrSystem", "real_split_matrix", "kerr_block_entries",
-           "mirror_invariant"]
+           "mirror_invariant", "mirror_fold"]
 
 # relative scale of the residual contract of solvers.sparse_lu_solve; a
 # system or field invariant under a mirror to this scale counts as symmetric
@@ -153,7 +154,7 @@ class KerrSystem:
         return (self._A_real + K).tocsr()
 
     # Born inner solves need a fast application of the uniform linear
-    # operator's inverse; geometry-specific subclasses provide it.
+    # operator's inverse; subclasses and mirror_fold's half system provide it.
     def vacuum_operator(self) -> sp.csr_matrix:
         raise NotImplementedError
 
@@ -163,3 +164,28 @@ class KerrSystem:
     def vacuum_folds(self) -> bool:
         """Whether vacuum_solve also takes the mirror fold of a symmetric rhs."""
         return False
+
+
+def mirror_fold(system: KerrSystem, e: np.ndarray):
+    """(half, e[H], gather) for fields symmetric under the system's mirror,
+    or None when it has none or the start e is not symmetric under it.
+
+    H lists the orbit representatives and S is the 0/1 unfold matrix (a
+    column per orbit, a 1 at both of its nodes); a half field x unfolds as
+    x[gather]. The Kerr term is pointwise, so half is KerrSystem(A_lin[H] @ S,
+    C[H] @ S, b[H], sigma), with exact Jacobian J[H] @ S. Its vacuum operator
+    is the parent's folded, its vacuum_solve the parent's (see vacuum_folds).
+    """
+    mirror = system.mirror
+    if mirror is None or not mirror_invariant(e, mirror):
+        return None
+    n = mirror.size
+    H = np.flatnonzero(np.arange(n) < mirror)
+    gather = np.empty(n, dtype=np.int64)
+    gather[H] = gather[mirror[H]] = np.arange(H.size)
+    S = sp.csr_matrix((np.ones(n), (np.arange(n), gather)), shape=(n, H.size))
+    half = KerrSystem(system.A_lin[H] @ S, system.C[H] @ S, system.b[H],
+                      system.sigma, (H.size,))
+    half.vacuum_operator = lambda: system.vacuum_operator()[H] @ S
+    half.vacuum_solve = system.vacuum_solve
+    return half, e[H], gather

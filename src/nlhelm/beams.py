@@ -428,18 +428,24 @@ def interpolate_field(E: np.ndarray, grid_from, grid_to) -> np.ndarray:
     z_from = grid_from.z_nodes()
     z_to = grid_to.z_nodes()
     if E.ndim == 1:
-        return (np.interp(z_to, z_from, E.real)
-                + 1j * np.interp(z_to, z_from, E.imag))
+        return _interp_rows(z_to, z_from, E[:, None])[:, 0]
     if grid_from.geometry != grid_to.geometry:
         raise ValueError("cannot interpolate between geometries")
-    x_from = grid_from.transverse_coords()
-    x_to = grid_to.transverse_coords()
-    mid = np.empty((z_to.size, E.shape[1]), dtype=np.complex128)
-    for mcol in range(E.shape[1]):
-        mid[:, mcol] = (np.interp(z_to, z_from, E[:, mcol].real)
-                        + 1j * np.interp(z_to, z_from, E[:, mcol].imag))
-    out = np.empty((z_to.size, x_to.size), dtype=np.complex128)
-    for row in range(z_to.size):
-        out[row] = (np.interp(x_to, x_from, mid[row].real)
-                    + 1j * np.interp(x_to, x_from, mid[row].imag))
-    return out
+    mid = _interp_rows(z_to, z_from, E)
+    return np.ascontiguousarray(_interp_rows(
+        grid_to.transverse_coords(), grid_from.transverse_coords(), mid.T).T)
+
+
+def _interp_rows(x: np.ndarray, xp: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Linear interpolation along axis 0 of the complex (len(xp), k) array F
+    at x: np.interp on the real and imaginary part of every column, with its
+    arithmetic (one slope per interval, flat beyond the end nodes)."""
+    if xp.size == 1:
+        return np.repeat(F[:1], x.size, axis=0)
+    f = np.ascontiguousarray(F).view(np.float64)
+    j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, xp.size - 2)
+    slope = (f[j + 1] - f[j]) / (xp[j + 1] - xp[j])[:, None]
+    out = slope * (x - xp[j])[:, None] + f[j]
+    out[x <= xp[0]] = f[0]
+    out[x >= xp[-1]] = f[-1]
+    return out.view(np.complex128)

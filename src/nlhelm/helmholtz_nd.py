@@ -24,11 +24,11 @@ per node (see fields.to_real_split).
 
 A Cartesian section with even M whose transverse blocks and boundary-row
 forcing are invariant under m <-> M-1-m (a centred, untilted, even beam
-between like walls) gets that reflection within each row as its `mirror`,
-and the solvers then solve their linear systems on half the unknowns;
-`vacuum_solve` likewise takes a folded rhs and inverts it on the even
-transverse modes for Born's sweep. The problem, its field and every output
-stay full size.
+between like walls) gets that reflection within each row as its `mirror`.
+The solvers then transform the problem into its half system on the first M/2
+nodes of each row (see _system.mirror_fold), for whose Born sweep
+`vacuum_solve` takes the folded rhs and inverts it on the even transverse
+modes. The field a solver returns and every output stay full size.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ class HelmholtzProblem(KerrSystem):
         tridiagonal systems (gttrf, once per problem), transform back.
 
         A half-size rhs is the mirror fold of a symmetric one, laid out as
-        solvers._mirror_fold does (the first M/2 nodes of each row); its
+        _system.mirror_fold does (the first M/2 nodes of each row); its
         solution comes back folded the same way and is computed on the M/2
         even modes only (see vacuum_folds)."""
         R = self.grid.num_nodes

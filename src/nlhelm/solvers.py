@@ -19,14 +19,11 @@ the last LU of its Jacobian and solves later steps by GMRES preconditioned
 with it, refactoring only when a Krylov solve is slow or misses the residual
 contract of sparse_lu_solve.
 
-Mirror fold: when the problem carries a mirror (see _system.KerrSystem) and
-the initial field is symmetric under it, each sparse linear system is solved
-for a mirror-symmetric solution on one unknown per mirror orbit,
-J_h = J[H] @ S with S the 0/1 unfold matrix, and unfolded by a gather. The
-folded system is the half-section problem with a mirror closure on the axis;
-the residual contract is checked on it. born_solve runs its whole sweep on
-the fold in the same way, with the vacuum inverse on the even transverse
-modes. The iterate, the residual and the Jacobian stay full size.
+Mirror fold: the fold transforms the problem, not its linear solves. When
+the problem has a mirror and the initial field is symmetric under it, each
+strategy runs on the half system of _system.mirror_fold (born_solve only if
+HelmholtzProblem.vacuum_folds) and _finish unfolds the field once; the reuse
+rule stays that of the full problem.
 
 All three return (field, SolveReport) and never raise on non-convergence;
 controlled failure is reported through the SolveReport.
@@ -40,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._system import CONTRACT_SCALE, KerrSystem, mirror_invariant
+from ._system import CONTRACT_SCALE, KerrSystem, mirror_fold
 from .errors import SingularMatrix
 from .fields import from_real_split, to_real_split
 
@@ -97,7 +94,7 @@ class SolveReport:
     # largest LU fill, as lu.nnz: the nonzeros SuperLU stores for L and U
     # (lu.L and lu.U would build CSC copies cached on the reused factor)
     lu_fill: int = 0
-    mirror_folded: bool = False   # linear systems solved on the mirror fold
+    mirror_folded: bool = False   # solved as the half system of the mirror fold
 
 
 # Newton systems with at least this many real unknowns reuse their last LU as
@@ -168,7 +165,11 @@ def _krylov_solve(J: sp.spmatrix, rhs: np.ndarray, lu) -> tuple[np.ndarray | Non
         nonlocal iterations
         iterations += 1
 
-    precond = spla.LinearOperator(J.shape, matvec=lu.solve, dtype=rhs.dtype)
+    def precondition(v):
+        # gmres opens with M(rhs), only to scale its tolerance: that is x0
+        return x0.copy() if np.array_equal(v, rhs) else lu.solve(v)
+
+    precond = spla.LinearOperator(J.shape, matvec=precondition, dtype=rhs.dtype)
     x, _ = spla.gmres(J, rhs, x0=x0, M=precond, rtol=0.0,
                       atol=KRYLOV_TARGET * _contract_bound(J_norm, x0, rhs),
                       restart=KRYLOV_RESTART, maxiter=1,
@@ -176,63 +177,36 @@ def _krylov_solve(J: sp.spmatrix, rhs: np.ndarray, lu) -> tuple[np.ndarray | Non
     return (x if _contract_violation(J, J_norm, x, rhs) is None else None), iterations
 
 
-def _mirror_fold(problem: KerrSystem, e: np.ndarray, real_split: bool):
-    """(H, S, gather) for solving the problem's linear systems on one unknown
-    per orbit of its mirror, or None when it has no mirror or the initial
-    field e is not symmetric under it.
-
-    H lists the orbit representatives, S is the 0/1 unfold matrix (one
-    column per representative, a 1 at both members of its orbit) and gather
-    indexes the full vector from the folded one: for a symmetric solution,
-    J x = rhs is (J[H] @ S) x_h = rhs[H] with x = x_h[gather]. With real_split
-    each node's (Re, Im) pair follows its node.
-    """
-    mirror = problem.mirror
-    if mirror is None or not mirror_invariant(e, mirror):
-        return None
-    if real_split:
-        mirror = (2 * mirror[:, None] + np.arange(2)).reshape(-1)
-    n = mirror.size
-    H = np.flatnonzero(np.arange(n) < mirror)
-    gather = np.empty(n, dtype=np.int64)
-    gather[H] = gather[mirror[H]] = np.arange(H.size)
-    S = sp.csr_matrix((np.ones(n), (np.arange(n), gather)), shape=(n, H.size))
-    return H, S, gather
-
-
-def _initial_field(problem: KerrSystem, config: NewtonConfig) -> np.ndarray:
-    if config.initial_guess is None:
-        return np.zeros(problem.size, dtype=np.complex128)
-    e0 = np.asarray(config.initial_guess, dtype=np.complex128).reshape(-1)
-    if e0.shape[0] != problem.size:
-        raise ValueError(
-            f"initial guess has {e0.shape[0]} nodes, problem has {problem.size}"
-        )
-    return e0.copy()
+def _start(problem: KerrSystem, config: NewtonConfig, fold: bool = True):
+    """(system, e, gather) of a run: the system it iterates on, its initial
+    field and the gather unfolding its field, None unless (with fold) system
+    is the problem's half system from _system.mirror_fold."""
+    e = np.zeros(problem.size, dtype=np.complex128)
+    if config.initial_guess is not None:
+        e = np.array(config.initial_guess, dtype=np.complex128).reshape(-1)
+        if e.shape[0] != problem.size:
+            raise ValueError(
+                f"initial guess has {e.shape[0]} nodes, problem has {problem.size}")
+    half = mirror_fold(problem, e) if fold else None
+    return (problem, e, None) if half is None else half
 
 
 class _LinearSolve:
     """The sparse linear solves of one run, with their SolveReport telemetry.
 
-    Each call solves J x = rhs on the mirror fold when the problem has a
-    mirror and the initial field e is symmetric under it. With reuse the last
-    LU preconditions GMRES (see _krylov_solve) and is refactored only when
-    that misses the contract or takes over REFACTOR_ITERATIONS iterations;
-    without it every call factors afresh. At most one factor is alive.
+    With reuse the last LU preconditions GMRES (see _krylov_solve) and is
+    refactored only when that misses the contract or takes over
+    REFACTOR_ITERATIONS iterations; without it every call factors afresh. At
+    most one factor is alive.
     """
 
-    def __init__(self, problem: KerrSystem, e: np.ndarray, *, real_split: bool,
-                 reuse: bool):
-        self.fold = _mirror_fold(problem, e, real_split)
+    def __init__(self, *, reuse: bool):
         self.reuse = reuse
         self.lu = None
         self.factorizations = self.krylov_iterations = self.lu_fill = 0
 
     def __call__(self, J: sp.spmatrix, rhs: np.ndarray):
         """(x, None), or (None, reason) when the solve fails."""
-        if self.fold is not None:
-            H, S, gather = self.fold
-            J, rhs = J[H] @ S, rhs[H]
         x = None
         try:
             if self.lu is not None:
@@ -249,23 +223,28 @@ class _LinearSolve:
             return None, "LinearSolveFail"
         except MemoryError:
             return None, "OutOfMemory"
-        return (x if self.fold is None else x[gather]), None
+        return x, None
 
     def telemetry(self) -> dict:
         return dict(factorizations=self.factorizations,
                     krylov_iterations=self.krylov_iterations,
-                    lu_fill=self.lu_fill, mirror_folded=self.fold is not None)
+                    lu_fill=self.lu_fill)
 
 
-def _finish(problem: KerrSystem, e: np.ndarray, converged: bool,
-            history: list[HistoryEntry], reason: str | None, **counts):
-    """(field, SolveReport); counts are the SolveReport's telemetry fields."""
+def _finish(problem: KerrSystem, gather: np.ndarray | None, e: np.ndarray,
+            converged: bool, history: list[HistoryEntry], reason: str | None,
+            **counts):
+    """(field, SolveReport), e unfolded by gather unless that is None; counts
+    are the SolveReport's telemetry fields."""
+    if gather is not None:
+        e = e[gather]
     report = SolveReport(
         converged=converged,
         iterations=len(history),
         history=history,
         max_amplitude=float(np.abs(e).max()) if e.size else 0.0,
         divergence_reason=None if converged else reason,
+        mirror_folded=gather is not None,
         **counts,
     )
     return e.reshape(problem.field_shape), report
@@ -279,8 +258,8 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     Large systems (see REUSE_MIN_UNKNOWNS) solve for delta by GMRES
     preconditioned with the last LU while that stays within
     REFACTOR_ITERATIONS iterations; a step whose Krylov solve misses the
-    residual contract is factored afresh. A mirror-symmetric problem solves
-    for delta on its mirror fold.
+    residual contract is factored afresh. A mirror-symmetric problem iterates
+    on its half system.
 
     A linear problem (no Kerr term) is solved by freezing_solve, whose one
     exact solve is the first full Newton step; relaxing it would only add
@@ -288,23 +267,22 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     if not problem.has_kerr:
         return freezing_solve(problem, config)
     config = config or NewtonConfig()
-    e = _initial_field(problem, config)
+    linear = _LinearSolve(reuse=2 * problem.size >= REUSE_MIN_UNKNOWNS)
+    system, e, gather = _start(problem, config)
     history: list[HistoryEntry] = []
     reason = "MaxIter"
     converged = False
-    linear = _LinearSolve(problem, e, real_split=True,
-                          reuse=2 * problem.size >= REUSE_MIN_UNKNOWNS)
     for _ in range(config.max_iterations):
-        F = problem.residual_complex(e)
+        F = system.residual_complex(e)
         resid_norm = float(np.abs(F).max())
         if not np.isfinite(resid_norm):
             reason = "NaN"
             break
-        d, failure = linear(problem.jacobian_real(e), -to_real_split(F))
+        d, failure = linear(system.jacobian_real(e), -to_real_split(F))
         if failure is not None:
             reason = failure
             break
-        delta = from_real_split(d, (problem.size,))
+        delta = from_real_split(d, (system.size,))
         step_norm = float(np.abs(delta).max())
         if not np.isfinite(step_norm):
             reason = "NaN"
@@ -318,10 +296,11 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
         if step_norm < config.convergence_tol:
             converged = True
             break
-    return _finish(problem, e, converged, history, reason, **linear.telemetry())
+    return _finish(problem, gather, e, converged, history, reason,
+                   **linear.telemetry())
 
 
-def _frozen_iteration(problem: KerrSystem, config: NewtonConfig, e: np.ndarray,
+def _frozen_iteration(system: KerrSystem, config: NewtonConfig, e: np.ndarray,
                       inner, exact: bool):
     """Fixed point of E <- inner(|E|^{2 sigma}, E) until the iterates stop
     moving; (field, converged, history, reason) for _finish.
@@ -332,7 +311,7 @@ def _frozen_iteration(problem: KerrSystem, config: NewtonConfig, e: np.ndarray,
     reason = "MaxIter"
     converged = False
     for _ in range(config.max_iterations):
-        w = problem.kerr_weights(e)
+        w = system.kerr_weights(e)
         if not np.all(np.isfinite(w)):
             reason = "NaN"
             break
@@ -341,7 +320,7 @@ def _frozen_iteration(problem: KerrSystem, config: NewtonConfig, e: np.ndarray,
             e, reason = x, failure
             break
         delta = float(np.abs(x - e).max())
-        resid_norm = float(np.abs(problem.residual_complex(x)).max())
+        resid_norm = float(np.abs(system.residual_complex(x)).max())
         e = x
         history.append(HistoryEntry(delta, resid_norm, delta))
         if exact or delta < config.convergence_tol:
@@ -356,17 +335,17 @@ def _frozen_iteration(problem: KerrSystem, config: NewtonConfig, e: np.ndarray,
 def freezing_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     """Outer fixed-point iteration on the frozen-coefficient linear system:
     solve (A_lin + C diag(|E^j|^{2 sigma})) E^{j+1} = b until the iterates
-    stop moving. A mirror-symmetric problem solves on its mirror fold."""
+    stop moving. A mirror-symmetric problem iterates on its half system."""
     config = config or NewtonConfig()
-    e = _initial_field(problem, config)
-    linear = _LinearSolve(problem, e, real_split=False, reuse=False)
+    system, e, gather = _start(problem, config)
+    linear = _LinearSolve(reuse=False)
 
     def frozen_lu(w, e):
-        x, failure = linear(problem.frozen_operator(w), problem.b)
+        x, failure = linear(system.frozen_operator(w), system.b)
         return (e if x is None else x), failure
 
-    return _finish(problem, *_frozen_iteration(
-        problem, config, e, frozen_lu, exact=not problem.has_kerr),
+    return _finish(problem, gather, *_frozen_iteration(
+        system, config, e, frozen_lu, exact=not system.has_kerr),
         **linear.telemetry())
 
 
@@ -377,44 +356,33 @@ def born_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     separation of variables; A(w) - A0 is applied term by term, not built.
 
     A mirror-symmetric problem whose vacuum_solve takes the fold (see
-    HelmholtzProblem.vacuum_folds) sweeps on one node per mirror orbit:
-    A_lin - A0, C and b are folded once and each outer step unfolds its
-    iterate by the gather."""
+    HelmholtzProblem.vacuum_folds) sweeps on its half system."""
     config = config or NewtonConfig()
-    e = _initial_field(problem, config)
-    D_base = (problem.A_lin - problem.vacuum_operator()).tocsr()
-    exact = D_base.nnz == 0 and not problem.has_kerr
+    problem.vacuum_operator()  # cached; assembled before the fold to lower peak memory
+    system, e, gather = _start(problem, config, fold=problem.vacuum_folds())
+    D_base = (system.A_lin - system.vacuum_operator()).tocsr()
+    exact = D_base.nnz == 0 and not system.has_kerr
     sweeps = 1 if exact else config.born_inner_iterations
-    C, b = problem.C, problem.b
-    fold = _mirror_fold(problem, e, real_split=False)
-    if fold is not None and problem.vacuum_folds():
-        H, S, gather = fold
-        D_base, C, b = D_base[H] @ S, C[H] @ S, b[H]
-    else:
-        fold = None
 
     def vacuum_sweeps(w, e):
-        if fold is not None:
-            w, e = w[H], e[H]
         x, reason = e, None
         # a diverging sweep may overflow to inf mid-iteration; that is a
         # reported outcome, not an error
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(sweeps):
-                rhs = b - D_base @ x
-                if problem.has_kerr:
-                    rhs -= C @ (w * x)
+                rhs = system.b - D_base @ x
+                if system.has_kerr:
+                    rhs -= system.C @ (w * x)
                 if not np.all(np.isfinite(rhs)):
                     reason = "NaN"
                     break
-                x = problem.vacuum_solve(rhs)
+                x = system.vacuum_solve(rhs)
         if reason is None and not np.all(np.isfinite(x)):
             reason = "NaN"
-        return (x if fold is None else x[gather]), reason
+        return x, reason
 
-    return _finish(problem, *_frozen_iteration(problem, config, e,
-                                               vacuum_sweeps, exact),
-                   mirror_folded=fold is not None)
+    return _finish(problem, gather, *_frozen_iteration(system, config, e,
+                                                       vacuum_sweeps, exact))
 
 
 METHODS = {

@@ -441,6 +441,41 @@ class TestInterpolate:
         # transverse extremes extrapolate flat, so compare the interior
         assert out[:, 1:-1] == pytest.approx(expect[:, 1:-1], abs=1e-12)
 
+    @staticmethod
+    def loop_reference(E, grid_from, grid_to):
+        """Column-then-row np.interp loops: the unvectorised resampling."""
+        z_from, z_to = grid_from.z_nodes(), grid_to.z_nodes()
+        x_from, x_to = grid_from.transverse_coords(), grid_to.transverse_coords()
+        mid = np.empty((z_to.size, E.shape[1]), dtype=np.complex128)
+        for mcol in range(E.shape[1]):
+            mid[:, mcol] = (np.interp(z_to, z_from, E[:, mcol].real)
+                            + 1j * np.interp(z_to, z_from, E[:, mcol].imag))
+        out = np.empty((z_to.size, x_to.size), dtype=np.complex128)
+        for row in range(z_to.size):
+            out[row] = (np.interp(x_to, x_from, mid[row].real)
+                        + 1j * np.interp(x_to, x_from, mid[row].imag))
+        return out
+
+    @pytest.mark.parametrize("geometry,extent", [("cartesian", 2.0),
+                                                 ("cylindrical", 2.0)])
+    @pytest.mark.parametrize("coarse_to_fine", [True, False])
+    def test_matches_loop_reference_bitwise(self, geometry, extent, coarse_to_fine):
+        # the same slope and offset per interval as np.interp, so the same
+        # bits; cylindrical targets also reach past the source's end nodes
+        grids = [quiet_grid(3.0, 16, extent, 8, geometry),
+                 quiet_grid(3.0, 32, extent, 13, geometry)]
+        ga, gb = grids if coarse_to_fine else grids[::-1]
+        rng = np.random.default_rng(5)
+        E = rng.normal(size=(ga.N + 7, ga.M)) + 1j * rng.normal(size=(ga.N + 7, ga.M))
+        out = interpolate_field(E, ga, gb)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, self.loop_reference(E, ga, gb))
+        la, lb = build_grid_1d(3.0, ga.N), build_grid_1d(3.0, gb.N)
+        za, zb = la.z_nodes(), lb.z_nodes()
+        assert np.array_equal(interpolate_field(E[:, 0], la, lb),
+                              np.interp(zb, za, E[:, 0].real)
+                              + 1j * np.interp(zb, za, E[:, 0].imag))
+
     def test_geometry_mismatch_rejected(self):
         ga = quiet_grid(3.0, 16, 2.0, 8, "cartesian")
         gb = quiet_grid(3.0, 16, 2.0, 8, "cylindrical")

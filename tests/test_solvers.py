@@ -37,6 +37,7 @@ from nlhelm import (
     solvers,
     sparse_lu_solve,
 )
+from nlhelm._system import KerrSystem
 
 K0 = 4.0
 
@@ -174,6 +175,26 @@ class TestKrylovSolve:
         assert 1 <= iterations <= solvers.KRYLOV_RESTART
         bound = 1e-10 * (abs(J).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max())
         assert np.abs(J @ x - rhs).max() <= bound
+
+    def test_one_triangular_solve_per_inner_iteration(self):
+        # lu.solve(rhs) for x0, gmres's M(r0), and one M(J v) per inner
+        # iteration; gmres's opening M(rhs), which only scales its
+        # tolerance, is x0 again and costs no solve
+        rng = np.random.default_rng(3)
+        A = self.banded(rng)
+        J = (A + sp.diags(1e-3 * rng.normal(size=A.shape[0]))).tocsr()
+        rhs = rng.normal(size=A.shape[0])
+        lu, solved = spla.splu(A.tocsc()), []
+
+        class CountingLu:
+            def solve(self, v):
+                solved.append(v.copy())
+                return lu.solve(v)
+
+        x, iterations = solvers._krylov_solve(J, rhs, CountingLu())
+        assert x is not None and iterations > 0
+        assert len(solved) == iterations + 2
+        assert sum(np.array_equal(v, rhs) for v in solved) == 1
 
     def test_unrelated_preconditioner_declines(self):
         rng = np.random.default_rng(4)
@@ -393,19 +414,33 @@ class TestSolveTelemetry:
         assert not report.mirror_folded
 
 
+def assert_matches_unfolded(solver):
+    """Run solver on the soliton slab, folded and on the full-size reference;
+    check that both end alike after as many iterations, that the fields agree
+    to 1e-12 relative and that the folded one is exactly symmetric. Returns
+    both (field, SolveReport) pairs, folded first."""
+    (E, report), (E_ref, ref) = (solver(soliton_slab()),
+                                 solver(unfolded(soliton_slab())))
+    assert report.mirror_folded and not ref.mirror_folded
+    assert (report.converged, report.divergence_reason, report.iterations) == (
+        ref.converged, ref.divergence_reason, ref.iterations)
+    assert np.abs(E - E_ref).max() <= 1e-12 * np.abs(E_ref).max()
+    assert np.array_equal(E, E[:, ::-1])
+    return (E, report), (E_ref, ref)
+
+
 @pytest.fixture(scope="module")
 def mirror_pair():
     """Newton on the 2D soliton slab, folded and on the full-size reference."""
-    folded = newton_solve(soliton_slab())
-    reference = newton_solve(unfolded(soliton_slab()))
-    return folded, reference
+    return assert_matches_unfolded(newton_solve)
 
 
 class TestMirrorFold:
     def test_newton_matches_unfolded_reference(self, mirror_pair):
         (E, report), (E_ref, ref) = mirror_pair
-        assert report.mirror_folded and not ref.mirror_folded
         assert_matches_direct(E, report, E_ref, ref)
+        assert [h.residual_norm for h in report.history] == pytest.approx(
+            [h.residual_norm for h in ref.history], rel=1e-10, abs=1e-13)
         assert report.factorizations == ref.factorizations
         assert 0 < report.lu_fill < ref.lu_fill / 2
 
@@ -421,6 +456,21 @@ class TestMirrorFold:
         # half of the 2 * size real-split unknowns
         assert [rows for rows, _ in seen] == [problem.size] * report.factorizations
 
+    @pytest.mark.parametrize("method", [newton_solve, freezing_solve, born_solve])
+    def test_runs_build_nothing_full_size(self, method, monkeypatch):
+        # the run iterates on the half system: no full-size residual,
+        # Jacobian or frozen operator is ever built
+        sizes = []
+        for name in ("jacobian_real", "residual_complex", "frozen_operator"):
+            def spy(self, v, real=getattr(KerrSystem, name)):
+                sizes.append((self.size, v.size))
+                return real(self, v)
+            monkeypatch.setattr(KerrSystem, name, spy)
+        problem = soliton_slab()
+        _, report = method(problem, NewtonConfig(max_iterations=3))
+        assert report.mirror_folded and report.iterations == 3
+        assert sizes and set(sizes) == {(problem.size // 2, problem.size // 2)}
+
     def test_asymmetric_initial_guess_takes_full_path(self, mirror_pair):
         (E, _), _ = mirror_pair
         guess = E.copy()
@@ -431,18 +481,10 @@ class TestMirrorFold:
         assert np.abs(E_full - E).max() <= 1e-10 * np.abs(E).max()
 
     def test_freezing_matches_unfolded_reference(self):
-        E, report = freezing_solve(soliton_slab())
-        E_ref, ref = freezing_solve(unfolded(soliton_slab()))
-        assert report.mirror_folded and not ref.mirror_folded
-        assert (report.converged, report.divergence_reason) == (
-            ref.converged, ref.divergence_reason)
-        assert abs(report.iterations - ref.iterations) <= 1
-        assert np.abs(E - E_ref).max() <= 1e-12 * np.abs(E_ref).max()
+        (_, report), (_, ref) = assert_matches_unfolded(freezing_solve)
         assert 0 < report.lu_fill < ref.lu_fill
 
-
     def test_born_matches_unfolded_reference(self, monkeypatch):
-        problem = soliton_slab()
         rhs_sizes, factor_sizes = [], []
         vacuum_solve = HelmholtzProblem.vacuum_solve
         factor = scipy.linalg.lapack.zgttrf
@@ -457,22 +499,13 @@ class TestMirrorFold:
 
         monkeypatch.setattr(HelmholtzProblem, "vacuum_solve", spy_solve)
         monkeypatch.setattr(scipy.linalg.lapack, "zgttrf", spy_factor)
-        config = NewtonConfig()
-        E, report = born_solve(problem, config)
-        assert report.mirror_folded
-        sweeps = report.iterations * config.born_inner_iterations
-        assert rhs_sizes == [problem.size // 2] * sweeps
-        # the even-mode tridiagonals: half the modes, factored once
-        assert factor_sizes == [problem.size // 2]
-        monkeypatch.undo()
-
-        E_ref, ref = born_solve(unfolded(soliton_slab()), config)
-        assert not ref.mirror_folded
-        assert report.converged and ref.converged
-        assert report.divergence_reason == ref.divergence_reason
-        assert report.iterations == ref.iterations
-        assert np.abs(E - E_ref).max() <= 1e-12 * np.abs(E_ref).max()
-        assert np.array_equal(E, E[:, ::-1])
+        (E, report), _ = assert_matches_unfolded(born_solve)
+        assert report.converged
+        n, sweeps = E.size, report.iterations * NewtonConfig().born_inner_iterations
+        assert rhs_sizes == [n // 2] * sweeps + [n] * sweeps
+        # the folded run factors the even-mode tridiagonals (half the modes)
+        # once, the reference all of them
+        assert factor_sizes == [n // 2, n]
 
     def test_born_runs_unfolded_without_parity_split(self, monkeypatch):
         # a degenerate mode pair mixing parity leaves no even-mode basis
