@@ -10,9 +10,10 @@ terms on E) and C the coupling coefficients multiplying P. The solvers in
 `solvers` only see this interface.
 
 A system may carry a mirror: a fixed-point-free involution of the nodes under
-which A_lin, C and b are invariant (to CONTRACT_SCALE). The fold transforms
-the problem: for a symmetric start mirror_fold gives the half system on one
-node per orbit, a KerrSystem itself, which the solvers iterate on.
+which A_lin, C and b are invariant (to CONTRACT_SCALE). Such a system is a
+section that is its half mirrored, and its half_section() is that half as a
+problem of its own, closed by a mirror closure on the symmetry plane. For a
+symmetric start the solvers iterate on the half (see mirror_fold).
 """
 
 from __future__ import annotations
@@ -154,27 +155,20 @@ class KerrSystem:
         return (self._A_real + K).tocsr()
 
     # Born inner solves need a fast application of the uniform linear
-    # operator's inverse; subclasses and mirror_fold's half system provide it.
+    # operator's inverse; subclasses provide it.
     def vacuum_operator(self) -> sp.csr_matrix:
         raise NotImplementedError
 
     def vacuum_solve(self, rhs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def vacuum_folds(self) -> bool:
-        """Whether vacuum_solve also takes the mirror fold of a symmetric rhs."""
-        return False
-
 
 def mirror_fold(system: KerrSystem, e: np.ndarray):
     """(half, e[H], gather) for fields symmetric under the system's mirror,
     or None when it has none or the start e is not symmetric under it.
 
-    H lists the orbit representatives and S is the 0/1 unfold matrix (a
-    column per orbit, a 1 at both of its nodes); a half field x unfolds as
-    x[gather]. The Kerr term is pointwise, so half is KerrSystem(A_lin[H] @ S,
-    C[H] @ S, b[H], sigma), with exact Jacobian J[H] @ S. Its vacuum operator
-    is the parent's folded, its vacuum_solve the parent's (see vacuum_folds).
+    half is system.half_section(), whose nodes are the orbit representatives
+    H in order; a half field x unfolds as x[gather].
     """
     mirror = system.mirror
     if mirror is None or not mirror_invariant(e, mirror):
@@ -183,9 +177,4 @@ def mirror_fold(system: KerrSystem, e: np.ndarray):
     H = np.flatnonzero(np.arange(n) < mirror)
     gather = np.empty(n, dtype=np.int64)
     gather[H] = gather[mirror[H]] = np.arange(H.size)
-    S = sp.csr_matrix((np.ones(n), (np.arange(n), gather)), shape=(n, H.size))
-    half = KerrSystem(system.A_lin[H] @ S, system.C[H] @ S, system.b[H],
-                      system.sigma, (H.size,))
-    half.vacuum_operator = lambda: system.vacuum_operator()[H] @ S
-    half.vacuum_solve = system.vacuum_solve
-    return half, e[H], gather
+    return system.half_section(), e[H], gather

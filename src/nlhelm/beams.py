@@ -371,12 +371,10 @@ def _pair_difference(Ec: np.ndarray, gc, Ef: np.ndarray, gf) -> float:
     """Max difference between a coarse field and the fine field restricted to
     the coarse nodes: z-nodes coincide (fine index 2n), transverse values are
     interpolated to the coarse cell centers by 4-point midpoint cubic."""
-    if isinstance(gc, Grid1D) or Ec.ndim == 1:
-        rows_c = np.arange(0, gc.N + 1) + 3
-        rows_f = 2 * np.arange(0, gc.N + 1) + 3
-        return float(np.abs(Ec[rows_c] - Ef[rows_f]).max())
     rows_c = np.arange(0, gc.N + 1) + 3
     rows_f = 2 * np.arange(0, gc.N + 1) + 3
+    if isinstance(gc, Grid1D) or Ec.ndim == 1:
+        return float(np.abs(Ec[rows_c] - Ef[rows_f]).max())
     Mc = gc.M
     m = np.arange(1, Mc - 1)
     fine = Ef[rows_f]

@@ -56,6 +56,7 @@ MAGIC = b"NLHM-FLD-v1\x00\x00\x00\x00\x00"
 assert len(MAGIC) == 16
 _GEOMETRY_TAGS = {"1d": 0, "cartesian": 1, "cylindrical": 2}
 _GEOMETRY_NAMES = {v: k for k, v in _GEOMETRY_TAGS.items()}
+_HEADER = struct.Struct("<QQQddd")  # after the magic: (geometry, N, M, h_z, h_perp, k0)
 
 
 @dataclass
@@ -263,8 +264,8 @@ def write_field(path, E: np.ndarray, grid, k0: float) -> None:
     head = _grid_header(grid, k0)
     buf = io.BytesIO()
     buf.write(MAGIC)
-    buf.write(struct.pack("<QQQddd", _GEOMETRY_TAGS[head["geometry"]], head["N"],
-                          head["M"], head["h_z"], head["h_perp"], head["k0"]))
+    buf.write(_HEADER.pack(_GEOMETRY_TAGS[head["geometry"]], head["N"],
+                           head["M"], head["h_z"], head["h_perp"], head["k0"]))
     buf.write(np.ascontiguousarray(E, dtype=np.complex128).astype("<c16").tobytes())
     _atomic_write(Path(path), buf.getvalue())
 
@@ -274,10 +275,14 @@ def read_field(path) -> tuple[dict, np.ndarray]:
     raw = Path(path).read_bytes()
     if raw[:16] != MAGIC:
         raise ValueError(f"{path}: not a field file (bad magic)")
-    tag, N, M, h_z, h_perp, k0 = struct.unpack_from("<QQQddd", raw, 16)
+    if len(raw) < 16 + _HEADER.size:
+        raise ValueError(f"{path}: truncated field header")
+    tag, N, M, h_z, h_perp, k0 = _HEADER.unpack_from(raw, 16)
+    if tag not in _GEOMETRY_NAMES:
+        raise ValueError(f"{path}: unknown geometry tag {tag}")
     header = {"geometry": _GEOMETRY_NAMES[tag], "N": N, "M": M,
               "h_z": h_z, "h_perp": h_perp, "k0": k0}
-    body = np.frombuffer(raw, dtype="<c16", offset=16 + struct.calcsize("<QQQddd"))
+    body = np.frombuffer(raw, dtype="<c16", offset=16 + _HEADER.size)
     count = (N + 7) * M
     if body.size != count:
         raise ValueError(f"{path}: expected {count} nodes, found {body.size}")

@@ -45,13 +45,9 @@ class NodeClass(Enum):
     ABC_ROW = "abc_row"
 
 
-@dataclass(frozen=True)
-class Grid1D:
-    """Uniform longitudinal grid: nodes z_n = n*h for n = -3..N+3."""
-
-    N: int
-    Zmax: float
-    h: float
+class _Longitudinal:
+    """Longitudinal node bookkeeping shared by the grids, in terms of their
+    step self.h."""
 
     @property
     def delta(self) -> float:
@@ -74,7 +70,16 @@ class Grid1D:
 
 
 @dataclass(frozen=True)
-class GridMultiD:
+class Grid1D(_Longitudinal):
+    """Uniform longitudinal grid: nodes z_n = n*h for n = -3..N+3."""
+
+    N: int
+    Zmax: float
+    h: float
+
+
+@dataclass(frozen=True)
+class GridMultiD(_Longitudinal):
     """Longitudinal grid as Grid1D plus a cell-centered transverse grid.
 
     Cartesian: x_m = -Xmax + (m+1/2) h_perp, m = 0..M-1, h_perp = 2 Xmax / M.
@@ -90,26 +95,9 @@ class GridMultiD:
     geometry: str  # "cartesian" | "cylindrical"
 
     @property
-    def delta(self) -> float:
-        return 3.0 * self.h_z
-
-    @property
-    def num_nodes(self) -> int:
-        return self.N + 7
-
-    @property
     def h(self) -> float:
         # longitudinal step, for APIs shared with Grid1D
         return self.h_z
-
-    def z(self, n) -> np.ndarray | float:
-        return np.asarray(n, dtype=float) * self.h_z if np.ndim(n) else float(n) * self.h_z
-
-    def z_nodes(self) -> np.ndarray:
-        return np.arange(-3, self.N + 4, dtype=float) * self.h_z
-
-    def index(self, n: int) -> int:
-        return n + 3
 
     def transverse_coords(self) -> np.ndarray:
         m = np.arange(self.M, dtype=float) + 0.5

@@ -24,15 +24,17 @@ per node (see fields.to_real_split).
 
 A Cartesian section with even M whose transverse blocks and boundary-row
 forcing are invariant under m <-> M-1-m (a centred, untilted, even beam
-between like walls) gets that reflection within each row as its `mirror`.
-The solvers then transform the problem into its half system on the first M/2
-nodes of each row (see _system.mirror_fold), for whose Born sweep
-`vacuum_solve` takes the folded rhs and inverts it on the even transverse
-modes. The field a solver returns and every output stay full size.
+between like walls, each half wide enough for its wall closure) gets that
+reflection within each row as its `mirror`. Its `half_section()` is the
+problem on the first M/2 nodes of each row (x <= 0), closed at x = 0 by the
+mirror closure that closes a cylindrical section at its axis; the solvers
+iterate on it (see _system.mirror_fold). The field a solver returns and
+every output stay full size.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from functools import cached_property
 
 import numpy as np
@@ -40,7 +42,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import solvers
-from ._system import CONTRACT_SCALE, KerrSystem, kerr_block_entries, mirror_invariant
+from ._system import KerrSystem, kerr_block_entries, mirror_invariant
 from .fields import (
     EXTERIOR_EPS,
     EXTERIOR_NU,
@@ -52,11 +54,13 @@ from .fields import (
     to_real_split,
 )
 from .transverse import (
+    MIN_NODES_RADIATION,
     TransverseClosure,
     TransverseEigensystem,
     TransverseSuite,
     build_transverse_suite,
     eigensolve_transverse,
+    symmetric_closure,
 )
 from .stencils import apply_stencil, central, one_sided_first_derivative_4node
 
@@ -176,6 +180,8 @@ class HelmholtzProblem(KerrSystem):
                  top: TransverseClosure | None = None):
         self.grid = grid
         self.mat = mat
+        self.einc_left = self._check_profile(einc_left)
+        self.einc_right = self._check_profile(einc_right)
         self.suite = build_transverse_suite(grid, mat.k0, bottom, top)
         self.eigensystem = eigensolve_transverse(
             self.suite.laplacian, mat.k0, grid.h_z)
@@ -183,8 +189,7 @@ class HelmholtzProblem(KerrSystem):
                                           mat.k0, grid.h_z)
         A, C, b = _assemble(grid, mat.k0, *_material_rows(grid, mat),
                             self._blocks, self.eigensystem,
-                            self._check_profile(einc_left),
-                            self._check_profile(einc_right))
+                            self.einc_left, self.einc_right)
         super().__init__(A, C, b, mat.sigma,
                          field_shape=(grid.num_nodes, grid.M))
         self.mirror = self._section_mirror()
@@ -192,17 +197,30 @@ class HelmholtzProblem(KerrSystem):
 
     def _section_mirror(self) -> np.ndarray | None:
         """m <-> M-1-m within each row, kept only for a Cartesian section
-        with even M (no node on the axis) whose transverse blocks and
-        boundary-row forcing are invariant under it, which makes the
-        assembled system invariant."""
+        with even M (no node on the axis) whose half can carry its bottom
+        wall, and whose transverse blocks and boundary-row forcing are
+        invariant under it, which makes the assembled system invariant."""
         grid, M = self.grid, self.grid.M
-        if grid.geometry != "cartesian" or M % 2:
+        narrow = self.suite.bottom.kind == "radiation" and M // 2 < MIN_NODES_RADIATION
+        if grid.geometry != "cartesian" or M % 2 or narrow:
             return None
         flip = np.arange(M)[::-1]
         parts = (*self._blocks, self.b[:M], self.b[-M:])
         if all(mirror_invariant(x, flip) for x in parts):
             return (np.arange(grid.num_nodes)[:, None] * M + flip).reshape(-1)
         return None
+
+    def half_section(self) -> HelmholtzProblem:
+        """The problem on the x <= 0 half of a mirror-symmetric section: the
+        first M/2 nodes of each row, at their true coordinates, between the
+        section's bottom wall and a mirror closure at x = 0, as a cylindrical
+        section is closed at its axis (see _system.mirror_fold)."""
+        m = self.grid.M // 2
+        left, right = (None if e is None else e[:m]
+                       for e in (self.einc_left, self.einc_right))
+        return HelmholtzProblem(dataclasses.replace(self.grid, M=m), self.mat,
+                                left, right, bottom=self.suite.bottom,
+                                top=symmetric_closure())
 
     def _check_profile(self, einc):
         if einc is None:
@@ -228,85 +246,35 @@ class HelmholtzProblem(KerrSystem):
                 self._blocks, self.eigensystem, None, None)
         return self._vacuum
 
-    def _mode_lu(self, modes) -> list[np.ndarray]:
-        """gttrf factor of the vacuum operator's tridiagonal systems for the
-        transverse modes indexed by `modes`, stacked mode-major; zero
-        off-diagonals between mode blocks uncouple them."""
+    @cached_property
+    def _vacuum_inverse(self):
+        """(forward transform, gttrf factor, back transform) of vacuum_solve,
+        built on first use. The factor is that of the M per-mode tridiagonal
+        systems stacked mode-major; zero off-diagonals between mode blocks
+        uncouple them."""
         eig, R, h, k0 = self.eigensystem, self.grid.num_nodes, self.grid.h_z, self.k0
-        lam, roots = eig.eigenvalues[modes], eig.roots[modes]
         c = (1.0 + k0 * k0 * h * h / 12.0) / (h * h)
-        off = np.full(lam.size * R - 1, c, dtype=np.complex128)
+        off = np.full(eig.M * R - 1, c, dtype=np.complex128)
         off[R - 1::R] = 0.0
-        main = np.repeat((-2.0 * c + k0 * k0 + lam)[:, None], R, axis=1)
-        main[:, [0, -1]] += (c * roots)[:, None]
+        main = np.repeat((-2.0 * c + k0 * k0 + eig.eigenvalues)[:, None], R, axis=1)
+        main[:, [0, -1]] += (c * eig.roots)[:, None]
         *factor, info = scipy.linalg.lapack.zgttrf(off, main.reshape(-1), off)
         if info:
             raise np.linalg.LinAlgError("singular vacuum operator")
-        return factor
-
-    @cached_property
-    def _vacuum_inverse(self):
-        """(forward transform, tridiagonal LU, back transform) of vacuum_solve
-        on full rows, built on first use."""
-        eig = self.eigensystem
-        return eig.modes_inverse.T, self._mode_lu(slice(None)), eig.modes.T
-
-    @cached_property
-    def _folded_vacuum_inverse(self):
-        """The same on the mirror fold, or None without a mirror or when the
-        modes do not split into M/2 even and M/2 odd ones.
-
-        A folded row holds the first M/2 nodes, each standing for itself and
-        its mirror image. A symmetric rhs has no odd-mode component, so the
-        forward transform sums the two mirror halves of the inverse modes and
-        keeps the even modes, and the back transform fills the first M/2
-        nodes from those modes."""
-        even = None if self.mirror is None else _even_modes(self.eigensystem.modes)
-        if even is None:
-            return None
-        eig, m = self.eigensystem, self.grid.M // 2
-        inverse = eig.modes_inverse.T
-        forward = (inverse[:m] + inverse[m:][::-1])[:, even]
-        return forward, self._mode_lu(even), eig.modes.T[even][:, :m]
-
-    def vacuum_folds(self) -> bool:
-        """Whether vacuum_solve takes a mirror-folded rhs."""
-        return self._folded_vacuum_inverse is not None
+        return eig.modes_inverse.T, factor, eig.modes.T
 
     def vacuum_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Invert the vacuum operator by separation of variables: transform
         each row into the transverse eigenbasis, apply the LU of the per-mode
-        tridiagonal systems (gttrf, once per problem), transform back.
-
-        A half-size rhs is the mirror fold of a symmetric one, laid out as
-        _system.mirror_fold does (the first M/2 nodes of each row); its
-        solution comes back folded the same way and is computed on the M/2
-        even modes only (see vacuum_folds)."""
+        tridiagonal systems (gttrf, once per problem), transform back."""
         R = self.grid.num_nodes
-        full = rhs.size == self.size
-        parts = self._vacuum_inverse if full else self._folded_vacuum_inverse
-        if parts is None:
-            raise ValueError(f"rhs has {rhs.size} nodes, problem has {self.size} "
-                             "and no mirror fold")
-        forward, factor, back = parts
+        forward, factor, back = self._vacuum_inverse
         U = rhs.reshape(R, -1) @ forward
         out, _ = scipy.linalg.lapack.zgttrs(*factor, U.T.reshape(-1))
-        # row-major (R, modes) as per-mode solves would fill it, so the
+        # row-major (R, M) as per-mode solves would fill it, so the
         # back-transform is the same BLAS call, bit for bit
-        out = np.ascontiguousarray(out.reshape(back.shape[0], R).T)
+        out = np.ascontiguousarray(out.reshape(-1, R).T)
         return (out @ back).reshape(-1)
-
-
-def _even_modes(modes: np.ndarray) -> np.ndarray | None:
-    """Indices of the columns of `modes` that are even under m <-> M-1-m, if
-    exactly half are even and the other half odd (each to CONTRACT_SCALE of
-    the column's largest entry); else None (a degenerate pair mixing
-    parity)."""
-    flipped, scale = modes[::-1], CONTRACT_SCALE * np.abs(modes).max(axis=0)
-    even = np.abs(flipped - modes).max(axis=0) <= scale
-    odd = np.abs(flipped + modes).max(axis=0) <= scale
-    half = modes.shape[0] / 2
-    return np.flatnonzero(even) if even.sum() == odd.sum() == half else None
 
 
 def solve_nd(grid: GridMultiD, mat: MaterialStack,

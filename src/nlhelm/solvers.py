@@ -19,11 +19,11 @@ the last LU of its Jacobian and solves later steps by GMRES preconditioned
 with it, refactoring only when a Krylov solve is slow or misses the residual
 contract of sparse_lu_solve.
 
-Mirror fold: the fold transforms the problem, not its linear solves. When
-the problem has a mirror and the initial field is symmetric under it, each
-strategy runs on the half system of _system.mirror_fold (born_solve only if
-HelmholtzProblem.vacuum_folds) and _finish unfolds the field once; the reuse
-rule stays that of the full problem.
+Mirror fold: when the problem has a mirror and the initial field is
+symmetric under it, each strategy runs on its half section, an ordinary
+problem with its own Jacobian and vacuum inverse (_system.mirror_fold), and
+_finish unfolds the field once; the reuse rule stays that of the full
+problem.
 
 All three return (field, SolveReport) and never raise on non-convergence;
 controlled failure is reported through the SolveReport.
@@ -94,7 +94,7 @@ class SolveReport:
     # largest LU fill, as lu.nnz: the nonzeros SuperLU stores for L and U
     # (lu.L and lu.U would build CSC copies cached on the reused factor)
     lu_fill: int = 0
-    mirror_folded: bool = False   # solved as the half system of the mirror fold
+    mirror_folded: bool = False   # solved on the half section of the mirror fold
 
 
 # Newton systems with at least this many real unknowns reuse their last LU as
@@ -177,17 +177,17 @@ def _krylov_solve(J: sp.spmatrix, rhs: np.ndarray, lu) -> tuple[np.ndarray | Non
     return (x if _contract_violation(J, J_norm, x, rhs) is None else None), iterations
 
 
-def _start(problem: KerrSystem, config: NewtonConfig, fold: bool = True):
+def _start(problem: KerrSystem, config: NewtonConfig):
     """(system, e, gather) of a run: the system it iterates on, its initial
-    field and the gather unfolding its field, None unless (with fold) system
-    is the problem's half system from _system.mirror_fold."""
+    field and the gather unfolding its field, None unless system is the
+    problem's half section from _system.mirror_fold."""
     e = np.zeros(problem.size, dtype=np.complex128)
     if config.initial_guess is not None:
         e = np.array(config.initial_guess, dtype=np.complex128).reshape(-1)
         if e.shape[0] != problem.size:
             raise ValueError(
                 f"initial guess has {e.shape[0]} nodes, problem has {problem.size}")
-    half = mirror_fold(problem, e) if fold else None
+    half = mirror_fold(problem, e)
     return (problem, e, None) if half is None else half
 
 
@@ -259,7 +259,7 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     preconditioned with the last LU while that stays within
     REFACTOR_ITERATIONS iterations; a step whose Krylov solve misses the
     residual contract is factored afresh. A mirror-symmetric problem iterates
-    on its half system.
+    on its half section.
 
     A linear problem (no Kerr term) is solved by freezing_solve, whose one
     exact solve is the first full Newton step; relaxing it would only add
@@ -335,7 +335,7 @@ def _frozen_iteration(system: KerrSystem, config: NewtonConfig, e: np.ndarray,
 def freezing_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     """Outer fixed-point iteration on the frozen-coefficient linear system:
     solve (A_lin + C diag(|E^j|^{2 sigma})) E^{j+1} = b until the iterates
-    stop moving. A mirror-symmetric problem iterates on its half system."""
+    stop moving. A mirror-symmetric problem iterates on its half section."""
     config = config or NewtonConfig()
     system, e, gather = _start(problem, config)
     linear = _LinearSolve(reuse=False)
@@ -355,11 +355,10 @@ def born_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     frozen |E|^{2 sigma} and A0 the uniform linear operator, solved by
     separation of variables; A(w) - A0 is applied term by term, not built.
 
-    A mirror-symmetric problem whose vacuum_solve takes the fold (see
-    HelmholtzProblem.vacuum_folds) sweeps on its half system."""
+    A mirror-symmetric problem sweeps on its half section, with that
+    problem's own A0."""
     config = config or NewtonConfig()
-    problem.vacuum_operator()  # cached; assembled before the fold to lower peak memory
-    system, e, gather = _start(problem, config, fold=problem.vacuum_folds())
+    system, e, gather = _start(problem, config)
     D_base = (system.A_lin - system.vacuum_operator()).tocsr()
     exact = D_base.nnz == 0 and not system.has_kerr
     sweeps = 1 if exact else config.born_inner_iterations

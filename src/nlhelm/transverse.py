@@ -211,9 +211,13 @@ class TransverseSuite:
     * interface_laplacian: fourth-order Laplacian T_L entering interface rows;
     * row_coupler: A_t = L_perp + (k0^2 h_z^2 / 12) T2, the transverse part of
       a generic material row before the material-weighted corrections.
+
+    bottom and top are the wall closures it was built with, defaults resolved.
     """
 
     grid: GridMultiD
+    bottom: TransverseClosure
+    top: TransverseClosure
     extension: sp.csr_matrix
     laplacian: sp.csr_matrix
     compact_correction: sp.csr_matrix
@@ -251,6 +255,8 @@ def build_transverse_suite(grid: GridMultiD, k0: float,
     L_perp = (A_t - (k0 ** 2 * hz2_12) * T2).tocsr()
     return TransverseSuite(
         grid=grid,
+        bottom=bottom,
+        top=top,
         extension=X,
         laplacian=L_perp,
         compact_correction=T2.tocsr(),

@@ -5,6 +5,7 @@ exit-code contract (0 converged, 2 controlled non-convergence, 1 error)."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,24 @@ class TestFieldFile:
         path = tmp_path / "field.bin"
         path.write_bytes(b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
+            read_field(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        grid = build_grid_1d(5.0, 16)
+        path = tmp_path / "field.bin"
+        write_field(path, np.ones(grid.num_nodes, dtype=complex), grid, 4.0)
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated field header")):
+            read_field(path)
+
+    def test_unknown_geometry_rejected(self, tmp_path):
+        grid = build_grid_1d(5.0, 16)
+        path = tmp_path / "field.bin"
+        write_field(path, np.ones(grid.num_nodes, dtype=complex), grid, 4.0)
+        raw = bytearray(path.read_bytes())
+        raw[16:24] = (7).to_bytes(8, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unknown geometry tag 7")):
             read_field(path)
 
     def test_truncated_body_rejected(self, tmp_path):

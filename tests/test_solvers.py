@@ -29,7 +29,6 @@ from nlhelm import (
     born_solve,
     build_problem_1d,
     freezing_solve,
-    helmholtz_nd,
     make_incoming,
     newton_solve,
     solve,
@@ -436,6 +435,32 @@ def mirror_pair():
 
 
 class TestMirrorFold:
+    def test_half_section_is_the_algebraic_fold(self):
+        # reference: the fold of the full system, X[H] @ S and b[H], with H
+        # the orbit representatives and S the 0/1 unfold matrix (a column
+        # per orbit, a 1 at both of its nodes)
+        problem = soliton_slab()
+        mirror, n = problem.mirror, problem.size
+        H = np.flatnonzero(np.arange(n) < mirror)
+        gather = np.empty(n, dtype=np.int64)
+        gather[H] = gather[mirror[H]] = np.arange(H.size)
+        S = sp.csr_matrix((np.ones(n), (np.arange(n), gather)), shape=(n, H.size))
+        half = problem.half_section()
+        M = problem.grid.M
+        assert np.array_equal(half.grid.transverse_coords(),
+                              problem.grid.transverse_coords()[:M // 2])
+        for name in ("A_lin", "C"):
+            want, got = (getattr(problem, name)[H] @ S).tocsr(), getattr(half, name).copy()
+            want.sort_indices()
+            got.sort_indices()
+            assert np.array_equal(want.indptr, got.indptr)
+            assert np.array_equal(want.indices, got.indices)
+            assert abs(got - want).max() <= 1e-13 * abs(want).max()
+        # b passes through each section's dense injection matrix, built from
+        # its own eigenbasis, whose entries reach twice max|b|: it differs by
+        # 2.3e-13 relative here
+        assert np.abs(half.b - problem.b[H]).max() <= 1e-12 * np.abs(problem.b).max()
+
     def test_newton_matches_unfolded_reference(self, mirror_pair):
         (E, report), (E_ref, ref) = mirror_pair
         assert_matches_direct(E, report, E_ref, ref)
@@ -503,20 +528,9 @@ class TestMirrorFold:
         assert report.converged
         n, sweeps = E.size, report.iterations * NewtonConfig().born_inner_iterations
         assert rhs_sizes == [n // 2] * sweeps + [n] * sweeps
-        # the folded run factors the even-mode tridiagonals (half the modes)
-        # once, the reference all of them
+        # the half section factors the tridiagonals of its own M/2 modes
+        # once, the reference those of all M
         assert factor_sizes == [n // 2, n]
-
-    def test_born_runs_unfolded_without_parity_split(self, monkeypatch):
-        # a degenerate mode pair mixing parity leaves no even-mode basis
-        monkeypatch.setattr(helmholtz_nd, "_even_modes", lambda modes: None)
-        problem = soliton_slab()
-        assert problem.mirror is not None and not problem.vacuum_folds()
-        E, report = born_solve(problem)
-        E_ref, ref = born_solve(unfolded(soliton_slab()))
-        assert report.converged and not report.mirror_folded
-        assert report.iterations == ref.iterations
-        assert np.array_equal(E, E_ref)
 
 
 class TestDeterminism:
