@@ -7,197 +7,19 @@ operator eigendecompositions, Newton / freezing / Born iterations, beam
 construction and diagnostics, and a batch CLI.
 """
 
-from .errors import (
-    AdjustmentUndefined,
-    ConfigError,
-    DegenerateRoot,
-    IllConditionedEigenbasis,
-    InterfaceOffGrid,
-    InvalidGrid,
-    NlhError,
-    NonNestedGrids,
-    OracleRequiresLinear,
-    SingularClosure,
-    SingularMatrix,
-    StencilOutOfRange,
-    UnresolvedWave,
-    UnsupportedProfile,
-    UnsupportedStencil,
-    UnsupportedTilt,
-)
-from .fields import (
-    Grid1D,
-    GridMultiD,
-    Layer,
-    MaterialStack,
-    NodeClass,
-    build_grid_1d,
-    build_grid_multi,
-    classify_nodes,
-    field_zeros,
-    from_real_split,
-    homogeneous_stack,
-    interface_nodes,
-    sample_material,
-    to_real_split,
-)
-from .stencils import StencilCoeffs, apply_stencil, central, one_sided_first_derivative_4node
-from .transverse import (
-    TransverseClosure,
-    TransverseEigensystem,
-    TransverseSuite,
-    abc_ghost_row,
-    build_transverse_operator,
-    build_transverse_suite,
-    default_closures,
-    eigensolve_transverse,
-    extension_matrix,
-    hankel_ratio_alpha,
-    radiation_closure,
-    root_from_ksq,
-    sommerfeld_alpha,
-    symmetric_closure,
-)
-from .helmholtz_nd import (
-    HelmholtzProblem,
-    assemble_jacobian,
-    assemble_residual,
-    kerr_jacobian_block,
-    residual_exterior,
-    residual_interface,
-    residual_interior_cartesian,
-    residual_interior_cylindrical,
-    solve_nd,
-)
-from .helmholtz_1d import (
-    Abc1DClosure,
-    Incoming1D,
-    Problem1D,
-    assemble_1d,
-    build_problem_1d,
-    characteristic_root,
-    extract_reflection_transmission,
-    solve_1d,
-    transfer_matrix_linear,
-)
-from .solvers import (
-    HistoryEntry,
-    NewtonConfig,
-    SolveReport,
-    born_solve,
-    freezing_solve,
-    newton_solve,
-    solve,
-    sparse_lu_solve,
-)
-from .beams import (
-    BeamSpec,
-    ConvergenceTable,
-    FluxProfile,
-    NlsMarchResult,
-    SpectrumPeak,
-    adjust_for_nls,
-    critical_power_ratio,
-    grid_convergence_study,
-    interpolate_field,
-    make_incoming,
-    nls_march,
-    on_axis_index,
-    oscillation_spectrum,
-    poynting_flux,
-    soliton_profile,
-)
+from .errors import *
+from .fields import *
+from .stencils import *
+from .transverse import *
+from .helmholtz_nd import *
+from .helmholtz_1d import *
+from .solvers import *
+from .beams import *
+from . import beams, errors, fields, helmholtz_1d, helmholtz_nd, solvers, stencils, transverse
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Abc1DClosure",
-    "AdjustmentUndefined",
-    "BeamSpec",
-    "ConfigError",
-    "ConvergenceTable",
-    "DegenerateRoot",
-    "FluxProfile",
-    "Grid1D",
-    "GridMultiD",
-    "HelmholtzProblem",
-    "HistoryEntry",
-    "IllConditionedEigenbasis",
-    "Incoming1D",
-    "InterfaceOffGrid",
-    "InvalidGrid",
-    "Layer",
-    "MaterialStack",
-    "NewtonConfig",
-    "NlhError",
-    "NlsMarchResult",
-    "NodeClass",
-    "NonNestedGrids",
-    "OracleRequiresLinear",
-    "Problem1D",
-    "SingularClosure",
-    "SingularMatrix",
-    "SolveReport",
-    "SpectrumPeak",
-    "StencilCoeffs",
-    "StencilOutOfRange",
-    "TransverseClosure",
-    "TransverseEigensystem",
-    "TransverseSuite",
-    "UnresolvedWave",
-    "UnsupportedProfile",
-    "UnsupportedStencil",
-    "UnsupportedTilt",
-    "abc_ghost_row",
-    "adjust_for_nls",
-    "apply_stencil",
-    "assemble_1d",
-    "assemble_jacobian",
-    "assemble_residual",
-    "born_solve",
-    "build_grid_1d",
-    "build_grid_multi",
-    "build_problem_1d",
-    "build_transverse_operator",
-    "build_transverse_suite",
-    "central",
-    "characteristic_root",
-    "classify_nodes",
-    "critical_power_ratio",
-    "default_closures",
-    "eigensolve_transverse",
-    "extension_matrix",
-    "extract_reflection_transmission",
-    "field_zeros",
-    "freezing_solve",
-    "from_real_split",
-    "grid_convergence_study",
-    "hankel_ratio_alpha",
-    "homogeneous_stack",
-    "interface_nodes",
-    "interpolate_field",
-    "kerr_jacobian_block",
-    "make_incoming",
-    "newton_solve",
-    "nls_march",
-    "on_axis_index",
-    "one_sided_first_derivative_4node",
-    "oscillation_spectrum",
-    "poynting_flux",
-    "radiation_closure",
-    "residual_exterior",
-    "residual_interface",
-    "residual_interior_cartesian",
-    "residual_interior_cylindrical",
-    "root_from_ksq",
-    "sample_material",
-    "solve",
-    "solve_1d",
-    "solve_nd",
-    "soliton_profile",
-    "sommerfeld_alpha",
-    "sparse_lu_solve",
-    "symmetric_closure",
-    "to_real_split",
-    "transfer_matrix_linear",
-]
+# each module's __all__ is the one list of its public names
+__all__ = [name for module in (errors, fields, stencils, transverse, helmholtz_nd,
+                               helmholtz_1d, solvers, beams)
+           for name in module.__all__]

@@ -98,32 +98,44 @@ class RunConfig:
 
 _REQUIRED = ("name", "geometry", "Zmax", "N", "k0", "sigma", "layers")
 _ALIASES = {"cartesian2d": "cartesian"}
-# RunConfig's numeric fields by annotation (a string here, see the
-# __future__ import): the JSON values each accepts and how to name them
-_NUMBER_FIELDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
-                  "float | None": ((int, float, type(None)), "a number")}
+# the JSON values that each RunConfig annotation (a string here, see the
+# __future__ import) or beam field kind accepts, and how to name them
+_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+          "float | None": ((int, float, type(None)), "a number"),
+          "str": (str, "a string"), "str | None": ((str, type(None)), "a string"),
+          "bool": (bool, "true or false"), "list[dict]": (list, "a list"),
+          "list | None": ((list, type(None)), "a list"),
+          "dict | None": ((dict, type(None)), "an object")}
+# the kind of each beam field
+_BEAM_FIELDS = {"shape": "str", "r0": "float | None", "width": "float | None",
+                "samples": "list | None", "amplitude_re": "float",
+                "amplitude_im": "float", "center": "float", "tilt_angle": "float",
+                "adjust": "bool"}
+
+
+def _check_kind(value, kind: str, field: str, source: str):
+    kinds, noun = _KINDS[kind]
+    # JSON true/false is a Python int, but counts only as a bool
+    if not isinstance(value, kinds) or (isinstance(value, bool) and kinds is not bool):
+        raise ConfigError(f"{source}: {field}: must be {noun}, got {value!r}")
 
 
 def parse_config(data: dict, source: str = "<config>") -> RunConfig:
     """Validate a raw dict into a RunConfig; errors name the offending field."""
     if not isinstance(data, dict):
         raise ConfigError(f"{source}: config must be a JSON object")
-    known = {f.name for f in dataclasses.fields(RunConfig)}
+    kinds = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     for key in data:
-        if key not in known:
+        if key not in kinds:
             raise ConfigError(f"{source}: unknown field {key!r}")
     for key in _REQUIRED:
         if key not in data:
             raise ConfigError(f"{source}: missing required field {key!r}")
+    for key, value in data.items():
+        _check_kind(value, kinds[key], key, source)
     data = dict(data)
     data["geometry"] = _ALIASES.get(data["geometry"], data["geometry"])
     cfg = RunConfig(**data)
-    for f in dataclasses.fields(RunConfig):
-        if f.type in _NUMBER_FIELDS:
-            kinds, noun = _NUMBER_FIELDS[f.type]
-            value = getattr(cfg, f.name)
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ConfigError(f"{source}: {f.name}: must be {noun}, got {value!r}")
     if cfg.geometry not in _GEOMETRY_TAGS:
         raise ConfigError(f"{source}: geometry: unknown value {cfg.geometry!r}")
     if cfg.geometry != "1d":
@@ -141,10 +153,11 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
         for fld in ("z_from", "z_to", "nu", "eps"):
             if fld not in lay:
                 raise ConfigError(f"{source}: layers[{i}].{fld}: missing")
+            _check_kind(lay[fld], "float", f"layers[{i}].{fld}", source)
     for side in ("beam_left", "beam_right"):
-        beam = getattr(cfg, side)
-        if beam is not None and not isinstance(beam, dict):
-            raise ConfigError(f"{source}: {side}: must be an object")
+        for key, value in (getattr(cfg, side) or {}).items():
+            if key in _BEAM_FIELDS:  # unknown keys are named by build_problem
+                _check_kind(value, _BEAM_FIELDS[key], f"{side}.{key}", source)
     return cfg
 
 
@@ -159,12 +172,8 @@ def load_config(path) -> RunConfig:
     return parse_config(data, source=str(path))
 
 
-_BEAM_FIELDS = {"shape", "r0", "width", "samples", "amplitude_re",
-                "amplitude_im", "center", "tilt_angle", "adjust"}
-
-
 def _beam_spec(beam: dict, side: str, source: str) -> BeamSpec:
-    extra = set(beam) - _BEAM_FIELDS
+    extra = set(beam) - _BEAM_FIELDS.keys()
     if extra:
         raise ConfigError(f"{source}: beam_{side}: unknown fields {sorted(extra)}")
     if "shape" not in beam:

@@ -4,6 +4,14 @@ Every error raised by the library derives from NlhError so callers can catch
 the whole family at once (the CLI maps them to exit code 1).
 """
 
+__all__ = [
+    "NlhError", "InvalidGrid", "InterfaceOffGrid", "UnsupportedStencil",
+    "StencilOutOfRange", "UnresolvedWave", "DegenerateRoot", "OracleRequiresLinear",
+    "IllConditionedEigenbasis", "SingularClosure", "UnsupportedTilt",
+    "AdjustmentUndefined", "UnsupportedProfile", "NonNestedGrids", "SingularMatrix",
+    "ConfigError",
+]
+
 
 class NlhError(Exception):
     """Base class for all library errors."""

@@ -26,6 +26,8 @@ __all__ = [
     "build_grid_multi",
     "classify_nodes",
     "sample_material",
+    "homogeneous_stack",
+    "interface_nodes",
     "field_zeros",
     "to_real_split",
     "from_real_split",

@@ -29,7 +29,7 @@ __all__ = [
     "Abc1DClosure",
     "Incoming1D",
     "characteristic_root",
-    "root_from_ksq",
+    "Problem1D",
     "assemble_1d",
     "build_problem_1d",
     "transfer_matrix_linear",
@@ -159,9 +159,12 @@ def transfer_matrix_linear(mat: MaterialStack, inc: Incoming1D) -> TransferMatri
     nus = [1.0] + [lay.nu for lay in mat.layers] + [1.0]
     starts = [0.0] + [lay.z_from for lay in mat.layers] + [mat.Zmax]
 
-    M = np.eye(2, dtype=np.complex128)
+    # maps[i]: (EincL, R) to region i+1's coefficients, i.e. the composition
+    # through its left interface; the last one is the whole stack
+    M, maps = np.eye(2, dtype=np.complex128), []
     for i in range(1, len(nus)):
         M = _interface_matrix(nus[i - 1], nus[i]) @ M
+        maps.append(M)
         if i < len(nus) - 1:
             L = mat.layers[i - 1].z_to - mat.layers[i - 1].z_from
             ph = np.exp(1j * nus[i] * k0 * L)
@@ -170,16 +173,8 @@ def transfer_matrix_linear(mat: MaterialStack, inc: Incoming1D) -> TransferMatri
     R = (inc.EincR - M[1, 0] * inc.EincL) / M[1, 1]
     T = M[0, 0] * inc.EincL + M[0, 1] * R
 
-    # region coefficients for the evaluator
-    coeff = [(np.complex128(inc.EincL), np.complex128(R))]
     v = np.array([inc.EincL, R], dtype=np.complex128)
-    for i in range(1, len(nus)):
-        v = _interface_matrix(nus[i - 1], nus[i]) @ v
-        coeff.append((v[0], v[1]))
-        if i < len(nus) - 1:
-            L = mat.layers[i - 1].z_to - mat.layers[i - 1].z_from
-            ph = np.exp(1j * nus[i] * k0 * L)
-            v = np.diag([ph, 1.0 / ph]) @ v
+    coeff = [v] + [m @ v for m in maps]
 
     edges = [lay.z_from for lay in mat.layers] + [mat.Zmax]
 

@@ -45,7 +45,6 @@ __all__ = [
     "TransverseEigensystem",
     "eigensolve_transverse",
     "root_from_ksq",
-    "injection_weight",
     "abc_ghost_row",
     "default_closures",
 ]

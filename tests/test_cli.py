@@ -370,6 +370,26 @@ class TestSolveCommand:
         assert err.startswith("error: ") and f"{field}: must be" in err
         assert not (tmp_path / "out").exists()
 
+    _MULTID = {"geometry": "cartesian", "extent": 2.0, "M": 8}
+
+    @pytest.mark.parametrize("field,over", [
+        ("geometry", {"geometry": ["1d"]}),
+        ("solver", {"solver": ["newton"]}),
+        ("layers", {"layers": {"z_from": 0.0, "z_to": 5.0, "nu": 1.5, "eps": 0.0}}),
+        ("layers[0].nu", {"layers": [{"z_from": 0.0, "z_to": 5.0, "nu": "abc", "eps": 0.0}]}),
+        ("beam_left.amplitude_re", {"beam_left": {"amplitude_re": "x"}}),
+        ("beam_left.width", {**_MULTID, "beam_left": {"shape": "gaussian", "width": "1"}}),
+        ("beam_left.adjust", {**_MULTID, "beam_left": {"shape": "gaussian", "width": 1.0,
+                                                        "adjust": "false"}}),
+    ])
+    def test_mistyped_value_exits_one_naming_field(self, tmp_path, capsys, field, over):
+        path, _ = write_config(tmp_path, **over)
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{field}: must be" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestPresetCommand:
     def test_stdout_emission(self, capsys):
         assert main(["preset", "collapse-cyl-desk"]) == 0

@@ -491,6 +491,29 @@ class TestSolve:
         )
         assert abs(R) ** 2 + abs(T) ** 2 == pytest.approx(1.0, abs=1e-12)
 
+    def test_many_layer_stack_fourth_order_against_oracle(self):
+        # 20 layers of thickness 0.25, nu alternating 1.0/1.5; errors against
+        # the transfer matrix read 1.8e-4 .. 6.4e-8 at 8 .. 64 nodes per layer
+        layers = tuple(Layer(0.25 * i, 0.25 * (i + 1), (1.0, 1.5)[i % 2], 0.0)
+                       for i in range(20))
+        mat = MaterialStack(k0=K0, sigma=1.0, layers=layers)
+        inc = Incoming1D(EincL=1.0)
+        oracle = transfer_matrix_linear(mat, inc)
+        errs = []
+        for per_layer in (8, 16, 32, 64):
+            grid = build_grid_1d(5.0, 20 * per_layer)
+            E, report = solve_1d(grid, mat, inc)
+            assert report.converged
+            z = np.array([grid.z(n) for n in range(grid.N + 1)])
+            sl = slice(grid.index(0), grid.index(grid.N) + 1)
+            errs.append(np.max(np.abs(E[sl] - oracle.evaluate(z))))
+        rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(rates >= 3.5), rates
+        R, T = extract_reflection_transmission(
+            E, grid, characteristic_root(K0, grid.h), inc
+        )
+        assert abs(abs(R) ** 2 + abs(T) ** 2 - 1.0) <= 1e-12
+
     def test_freezing_one_shots_linear_problem(self):
         # with no Kerr term the frozen system is the full system, so the
         # first LU solve is already the answer even at high contrast
