@@ -111,6 +111,7 @@ _BEAM_FIELDS = {"shape": "str", "r0": "float | None", "width": "float | None",
                 "samples": "list | None", "amplitude_re": "float",
                 "amplitude_im": "float", "center": "float", "tilt_angle": "float",
                 "adjust": "bool"}
+_LAYER_FIELDS = ("z_from", "z_to", "nu", "eps")
 
 
 def _check_kind(value, kind: str, field: str, source: str):
@@ -121,7 +122,8 @@ def _check_kind(value, kind: str, field: str, source: str):
 
 
 def parse_config(data: dict, source: str = "<config>") -> RunConfig:
-    """Validate a raw dict into a RunConfig; errors name the offending field."""
+    """Validate a raw dict into a RunConfig; errors name the source and the
+    offending field."""
     if not isinstance(data, dict):
         raise ConfigError(f"{source}: config must be a JSON object")
     kinds = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -150,14 +152,32 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
     for i, lay in enumerate(cfg.layers):
         if not isinstance(lay, dict):
             raise ConfigError(f"{source}: layers[{i}]: must be an object")
-        for fld in ("z_from", "z_to", "nu", "eps"):
+        extra = set(lay) - set(_LAYER_FIELDS)
+        if extra:
+            raise ConfigError(f"{source}: layers[{i}]: unknown fields {sorted(extra)}")
+        for fld in _LAYER_FIELDS:
             if fld not in lay:
                 raise ConfigError(f"{source}: layers[{i}].{fld}: missing")
             _check_kind(lay[fld], "float", f"layers[{i}].{fld}", source)
+    end = float(cfg.layers[-1]["z_to"])
+    if abs(end - cfg.Zmax) > 1e-12 * max(1.0, abs(cfg.Zmax)):
+        raise ConfigError(f"{source}: layers: stack ends at {end}, config Zmax is {cfg.Zmax}")
     for side in ("beam_left", "beam_right"):
-        for key, value in (getattr(cfg, side) or {}).items():
-            if key in _BEAM_FIELDS:  # unknown keys are named by build_problem
-                _check_kind(value, _BEAM_FIELDS[key], f"{side}.{key}", source)
+        beam = getattr(cfg, side)
+        if beam is None:
+            continue
+        if cfg.geometry == "1d":  # a plane wave: its amplitude only
+            extra = set(beam) - {"amplitude_re", "amplitude_im"}
+            if extra:
+                raise ConfigError(
+                    f"{source}: {side}: 1d beams take only amplitude_re/amplitude_im, "
+                    f"got {sorted(extra)}")
+        else:
+            extra = set(beam) - _BEAM_FIELDS.keys()
+            if extra:
+                raise ConfigError(f"{source}: {side}: unknown fields {sorted(extra)}")
+        for key, value in beam.items():
+            _check_kind(value, _BEAM_FIELDS[key], f"{side}.{key}", source)
     return cfg
 
 
@@ -173,9 +193,6 @@ def load_config(path) -> RunConfig:
 
 
 def _beam_spec(beam: dict, side: str, source: str) -> BeamSpec:
-    extra = set(beam) - _BEAM_FIELDS.keys()
-    if extra:
-        raise ConfigError(f"{source}: beam_{side}: unknown fields {sorted(extra)}")
     if "shape" not in beam:
         raise ConfigError(f"{source}: beam_{side}: missing field 'shape'")
     samples = beam.get("samples")
@@ -207,27 +224,17 @@ def _material(cfg: RunConfig) -> MaterialStack:
 def build_problem(cfg: RunConfig):
     """(problem, grid, mat, solver_config) from a parsed run configuration."""
     mat = _material(cfg)
-    if abs(mat.Zmax - cfg.Zmax) > 1e-12 * max(1.0, abs(cfg.Zmax)):
-        raise ConfigError(
-            f"layers: stack ends at {mat.Zmax}, config Zmax is {cfg.Zmax}"
-        )
     if cfg.geometry == "1d":
         grid = build_grid_1d(cfg.Zmax, cfg.N)
 
-        def plane_amplitude(beam, side):
+        def plane_amplitude(beam):
             if beam is None:
                 return 0.0
-            extra = set(beam) - {"amplitude_re", "amplitude_im"}
-            if extra:
-                raise ConfigError(
-                    f"beam_{side}: 1d beams take only amplitude_re/amplitude_im, "
-                    f"got {sorted(extra)}"
-                )
             return complex(beam.get("amplitude_re", 0.0), beam.get("amplitude_im", 0.0))
 
         inc = Incoming1D(
-            EincL=plane_amplitude(cfg.beam_left, "left"),
-            EincR=plane_amplitude(cfg.beam_right, "right"),
+            EincL=plane_amplitude(cfg.beam_left),
+            EincR=plane_amplitude(cfg.beam_right),
         )
         problem = Problem1D(grid, mat, inc)
     else:

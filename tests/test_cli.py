@@ -390,6 +390,22 @@ class TestSolveCommand:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("over,named", [
+        ({"layers": [{"z_from": 0.0, "z_to": 5.0, "nu": 1.5, "eps": 0.0, "sigma": 3}]},
+         "layers[0]: unknown fields ['sigma']"),
+        ({"Zmax": 2}, "layers: stack ends at 5.0, config Zmax is 2"),
+        ({**_MULTID, "beam_left": {"shape": "gaussian", "wdith": 1.0}},
+         "beam_left: unknown fields ['wdith']"),
+        ({"beam_left": {"shape": "sech", "r0": 1.0}},
+         "beam_left: 1d beams take only amplitude_re/amplitude_im, got ['r0', 'shape']"),
+    ], ids=["layer-key", "Zmax", "beam-key", "1d-beam"])
+    def test_config_error_names_file_and_field(self, tmp_path, capsys, over, named):
+        path, _ = write_config(tmp_path, **over)
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {named}\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestPresetCommand:
     def test_stdout_emission(self, capsys):
         assert main(["preset", "collapse-cyl-desk"]) == 0

@@ -446,6 +446,40 @@ class TestClosedFormRows:
             self.expected(grid, {r: weight * 0.5 * (eps_l + eps_r)}),
             rtol=1e-14, atol=0)
 
+    def test_single_interface_transmission_closed_form(self):
+        # test_02's error budget: left of the vacuum -> nu interface at node
+        # 0 the discrete field is q1^n + R q1^-n, right of it T q2^n, with q1
+        # and q2 the discrete roots. Continuity (1 + R = T) and the interface
+        # row fix R and T; test_02's half-space emulation reproduces this T,
+        # whose |T| - 2/(1+nu) is the -3.37e-5 that test_02 fails on.
+        nu, N = 1.5, 80
+        grid = build_grid_1d(N * (2.0 * math.pi / K0) / 40.0, N)  # 40 per wavelength
+        h = grid.h
+        q1, q2 = characteristic_root(K0, h).q, characteristic_root(nu * K0, h).q
+        n = np.arange(-3, 4)
+        w = self.IFACE_W / h
+        w[3] += (6.0 * h / 11.0) * K0**2 * 0.5 * (1.0 + nu**2)
+        left, right = n < 0, n >= 0  # node 0 holds T
+        R, T = np.linalg.solve(
+            [[1.0, -1.0],
+             [np.sum(w[left] * q1 ** -n[left]), np.sum(w[right] * q2 ** n[right])]],
+            [-1.0, -np.sum(w[left] * q1 ** n[left])])
+        assert abs(T) - 2.0 / (1.0 + nu) == pytest.approx(-3.3652e-5, abs=1e-9)
+
+        mat = slab(nu, Zmax=grid.Zmax)
+        n_fit = np.arange(10, 71)
+        basis = np.stack([q2**n_fit, q2 ** (-n_fit)], axis=1)
+
+        def medium_waves(einc_right):
+            E, _ = solve_1d(grid, mat, Incoming1D(EincL=1.0, EincR=einc_right))
+            return np.linalg.lstsq(basis, E[n_fit + 3], rcond=None)[0]
+
+        # the right-incoming amplitude that cancels the wave returning from
+        # the exit face leaves the pure transmitted wave, as in test_02
+        w0, w1 = medium_waves(0.0), medium_waves(0.1)
+        s = -w0[1] * 0.1 / (w1[1] - w0[1])
+        transmitted = w0[0] + (w1[0] - w0[0]) * (s / 0.1)
+        assert abs(transmitted - T) <= 1e-12
 
 class TestExtract:
     def test_planted_amplitudes_recovered(self):

@@ -203,6 +203,56 @@ class TestKrylovSolve:
         assert x is None
         assert iterations == solvers.KRYLOV_RESTART
 
+    def test_forcing_accepts_in_fewer_iterations(self):
+        # the forcing test ||J x - rhs||_inf <= eta ||rhs||_inf stops GMRES
+        # well before the contract does
+        rng = np.random.default_rng(3)
+        A = self.banded(rng)
+        J = (A + sp.diags(1e-1 * rng.normal(size=A.shape[0]))).tocsr()
+        rhs = rng.normal(size=A.shape[0])
+        lu = spla.splu(A.tocsc())
+        _, exact = solvers._krylov_solve(J, rhs, lu)
+        eta = 1e-3
+        x, forced = solvers._krylov_solve(J, rhs, lu, eta)
+        assert x is not None
+        assert 0 < forced < exact
+        assert np.abs(J @ x - rhs).max() <= eta * np.abs(rhs).max()
+
+    def test_unrelated_preconditioner_declines_forced_solve(self):
+        # an indefinite band that one unpreconditioned cycle cannot bring
+        # within even the loosest forcing term
+        rng = np.random.default_rng(4)
+        n = 200
+        J = sp.diags([rng.normal(size=n - 1), 1.0 + rng.normal(size=n),
+                      rng.normal(size=n - 1)], offsets=[-1, 0, 1], format="csr")
+        lu = spla.splu(sp.eye(n, format="csc"))
+        x, iterations = solvers._krylov_solve(J, rng.normal(size=n), lu,
+                                              solvers.FORCING_MAX)
+        assert x is None
+        assert iterations == solvers.KRYLOV_RESTART
+
+    def test_forcing_term(self, monkeypatch):
+        # Eisenstat-Walker choice 2: 0.9 (||F_k|| / ||F_k-1||)^2, capped
+        assert solvers._forcing_term(0.1, 0.1) == pytest.approx(0.009)
+        assert solvers._forcing_term(0.1, 0.5) == solvers.FORCING_MAX
+        assert solvers._forcing_term(1e-3, 0.0) == 0.0
+        # the safeguard 0.9 eta^2 acts once that exceeds 0.1
+        monkeypatch.setattr(solvers, "FORCING_MAX", 0.9)
+        assert solvers._forcing_term(0.5, 0.1) == pytest.approx(0.225)
+        assert solvers._forcing_term(0.3, 0.1) == pytest.approx(0.009)
+
+
+def assert_quadratic_tail(report):
+    """After the switch to full steps the error contracts quadratically until
+    it hits the arithmetic floor."""
+    steps = [h.step_norm for h in report.history]
+    checked = 0
+    for s, s_next in zip(steps, steps[1:]):
+        if s < 0.01 and s_next > 1e-13:
+            assert s_next <= 10.0 * s * s
+            checked += 1
+    assert checked >= 2
+
 
 class TestNewton:
     def test_converges_on_kerr_slab(self):
@@ -216,7 +266,7 @@ class TestNewton:
         assert np.abs(problem.residual_complex(E)).max() < 1e-8
         # below REUSE_MIN_UNKNOWNS: one LU per step, no Krylov solves
         assert report.factorizations == report.iterations
-        assert report.krylov_iterations == 0
+        assert report.krylov_iterations == report.forced_steps == 0
 
     def test_relaxation_bookkeeping(self):
         # while the step is large the applied step is omega * delta / max(1,
@@ -232,16 +282,8 @@ class TestNewton:
             assert entry.applied_step_norm == pytest.approx(expect, rel=1e-12)
 
     def test_quadratic_tail(self):
-        # after the switch to full steps the error contracts quadratically
-        # until it hits the arithmetic floor
         _, report = newton_solve(kerr_problem())
-        steps = [h.step_norm for h in report.history]
-        checked = 0
-        for s, s_next in zip(steps, steps[1:]):
-            if s < 0.01 and s_next > 1e-13:
-                assert s_next <= 10.0 * s * s
-                checked += 1
-        assert checked >= 2
+        assert_quadratic_tail(report)
 
     def test_warm_start_one_iteration(self):
         problem = kerr_problem()
@@ -300,6 +342,7 @@ def slab_2d():
         E, report = newton_solve(problem)
     assert report.converged
     assert report.factorizations == report.iterations
+    assert report.forced_steps == 0
     return problem, E, report
 
 
@@ -314,7 +357,9 @@ def assert_matches_direct(E, report, E_direct, direct):
 
 
 class TestFactorReuse:
-    def test_matches_direct_path_with_fewer_factorizations(self, slab_2d):
+    # these compare exact steps one by one, so forcing is off
+    def test_matches_direct_path_with_fewer_factorizations(self, slab_2d, monkeypatch):
+        monkeypatch.setattr(solvers, "FORCING_MAX", 0.0)
         problem, E_direct, direct = slab_2d
         assert 2 * problem.size >= solvers.REUSE_MIN_UNKNOWNS
         E, report = newton_solve(problem)
@@ -333,12 +378,76 @@ class TestFactorReuse:
             return x0.copy(), 1
 
         monkeypatch.setattr(spla, "gmres", stalled_gmres)
+        monkeypatch.setattr(solvers, "FORCING_MAX", 0.0)
         E, report = newton_solve(problem)
         assert report.divergence_reason is None
         assert_matches_direct(E, report, E_direct, direct)
         assert len(calls) > 0
         assert report.factorizations == 1 + len(calls)
         assert report.krylov_iterations == 0
+
+
+@pytest.fixture(scope="module")
+def forced_slab():
+    """Newton on the 2D soliton slab with the default forcing, and for each
+    linear solve (forcing, forced, ||J x - rhs||_inf, ||rhs||_inf, contract
+    bound of sparse_lu_solve)."""
+    solves = []
+    call = solvers._LinearSolve.__call__
+
+    def spy(self, J, rhs, forcing=0.0):
+        x, failure = call(self, J, rhs, forcing)
+        if x is not None:
+            J_norm = np.abs(J).sum(axis=1).max()
+            solves.append((forcing, self.forced, np.abs(J @ x - rhs).max(),
+                           np.abs(rhs).max(), solvers._contract_bound(J_norm, x, rhs)))
+        return x, failure
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers._LinearSolve, "__call__", spy)
+        E, report = newton_solve(soliton_slab())
+    assert report.converged
+    assert len(solves) == report.iterations
+    return E, report, solves
+
+
+class TestForcing:
+    def test_matches_direct_path(self, slab_2d, forced_slab):
+        _, E_direct, _ = slab_2d
+        E, report, solves = forced_slab
+        assert report.forced_steps == sum(forced for _, forced, *_ in solves) > 0
+        assert np.abs(E - E_direct).max() <= 1e-12 * np.abs(E_direct).max()
+
+    def test_forced_solves_meet_forcing_test_others_the_contract(self, forced_slab):
+        _, _, solves = forced_slab
+        for forcing, forced, resid, rhs_norm, bound in solves:
+            if forced:
+                assert 0.0 < forcing <= solvers.FORCING_MAX
+                assert resid <= forcing * rhs_norm
+            else:
+                assert resid <= bound
+
+    def test_steps_after_the_first_full_step_are_exact(self, forced_slab):
+        _, report, solves = forced_slab
+        full = [h.step_norm < NewtonConfig().switch_threshold for h in report.history]
+        first = full.index(True)
+        assert not any(forced for _, forced, *_ in solves[first + 1:])
+        assert not solves[-1][1]  # converged on an exact step
+
+    def test_quadratic_tail(self, forced_slab):
+        _, report, _ = forced_slab
+        assert_quadratic_tail(report)
+
+    def test_matches_unfolded_reference(self):
+        (_, report), (_, ref) = assert_matches_unfolded(newton_solve)
+        assert report.forced_steps > 0 and ref.forced_steps > 0
+
+    def test_forcing_off_forces_nothing(self, slab_2d, monkeypatch):
+        monkeypatch.setattr(solvers, "FORCING_MAX", 0.0)
+        problem, E_direct, _ = slab_2d
+        E, report = newton_solve(problem)
+        assert report.converged and report.forced_steps == 0
+        assert np.abs(E - E_direct).max() <= 1e-12 * np.abs(E_direct).max()
 
 
 class TestCrossMethod:
@@ -349,7 +458,7 @@ class TestCrossMethod:
         assert report.converged
         assert np.abs(E_frozen - E_newton).max() < 1e-10
         assert report.factorizations == report.iterations
-        assert report.krylov_iterations == 0
+        assert report.krylov_iterations == report.forced_steps == 0
 
     def test_born_matches_newton_at_weak_kerr(self):
         # nu = 1 keeps the vacuum preconditioner exact for the linear part,
@@ -361,7 +470,7 @@ class TestCrossMethod:
         assert report.converged
         assert np.abs(E_born - E_newton).max() < 1e-8
         assert report.factorizations == report.krylov_iterations == 0
-        assert report.lu_fill == 0
+        assert report.forced_steps == report.lu_fill == 0
         assert not report.mirror_folded
 
     @pytest.mark.parametrize(
@@ -430,8 +539,11 @@ def assert_matches_unfolded(solver):
 
 @pytest.fixture(scope="module")
 def mirror_pair():
-    """Newton on the 2D soliton slab, folded and on the full-size reference."""
-    return assert_matches_unfolded(newton_solve)
+    """Newton on the 2D soliton slab, folded and on the full-size reference,
+    with exact steps only (forcing off)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "FORCING_MAX", 0.0)
+        return assert_matches_unfolded(newton_solve)
 
 
 class TestMirrorFold:
@@ -557,9 +669,10 @@ class TestDeterminism:
         E1, r1 = newton_solve(problem)
         E2, r2 = newton_solve(problem)
         assert r1.factorizations < r1.iterations
+        assert r1.forced_steps > 0
         assert np.array_equal(E1, E2)
-        assert (r1.factorizations, r1.krylov_iterations) == (
-            r2.factorizations, r2.krylov_iterations)
+        assert (r1.factorizations, r1.krylov_iterations, r1.forced_steps) == (
+            r2.factorizations, r2.krylov_iterations, r2.forced_steps)
         assert [h.step_norm for h in r1.history] == [
             h.step_norm for h in r2.history
         ]
