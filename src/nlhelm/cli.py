@@ -38,7 +38,7 @@ from .beams import (
     on_axis_index,
     poynting_flux,
 )
-from .errors import ConfigError, NlhError
+from .errors import ConfigError, InvalidGrid, NlhError
 from .fields import (
     GridMultiD,
     Layer,
@@ -221,11 +221,18 @@ def _material(cfg: RunConfig) -> MaterialStack:
     return MaterialStack(k0=float(cfg.k0), sigma=float(cfg.sigma), layers=layers)
 
 
-def build_problem(cfg: RunConfig):
-    """(problem, grid, mat, solver_config) from a parsed run configuration."""
-    mat = _material(cfg)
+def build_problem(cfg: RunConfig, source: str = "<config>"):
+    """(problem, grid, mat, solver_config) from a parsed run configuration;
+    its config errors name source, as parse_config's do."""
+    try:
+        mat = _material(cfg)
+        if cfg.geometry == "1d":
+            grid = build_grid_1d(cfg.Zmax, cfg.N)
+        else:
+            grid = build_grid_multi(cfg.Zmax, cfg.N, cfg.extent, cfg.M, cfg.geometry)
+    except InvalidGrid as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
     if cfg.geometry == "1d":
-        grid = build_grid_1d(cfg.Zmax, cfg.N)
 
         def plane_amplitude(beam):
             if beam is None:
@@ -238,13 +245,12 @@ def build_problem(cfg: RunConfig):
         )
         problem = Problem1D(grid, mat, inc)
     else:
-        grid = build_grid_multi(cfg.Zmax, cfg.N, cfg.extent, cfg.M, cfg.geometry)
         einc_left = einc_right = None
         if cfg.beam_left is not None:
-            einc_left = make_incoming(_beam_spec(cfg.beam_left, "left", cfg.name),
+            einc_left = make_incoming(_beam_spec(cfg.beam_left, "left", source),
                                       grid, mat)
         if cfg.beam_right is not None:
-            einc_right = make_incoming(_beam_spec(cfg.beam_right, "right", cfg.name),
+            einc_right = make_incoming(_beam_spec(cfg.beam_right, "right", source),
                                        grid, mat)
         problem = HelmholtzProblem(grid, mat, einc_left, einc_right)
     return problem, grid, mat, cfg.newton_config()
@@ -407,7 +413,7 @@ def run(config_path) -> int:
     """Solve one configuration and write its outputs; returns the exit code."""
     try:
         cfg = load_config(config_path)
-        problem, grid, mat, solver_cfg = build_problem(cfg)
+        problem, grid, mat, solver_cfg = build_problem(cfg, str(config_path))
         t0 = time.perf_counter()
         E, report = solvers.solve(problem, config=solver_cfg, method=cfg.solver)
         runtime = time.perf_counter() - t0
@@ -458,7 +464,7 @@ def converge(config_path, levels: int) -> int:
         all_converged = True
         for i in range(levels):
             cfg_i = _refined(base, 2 ** i)
-            problem, grid, mat, solver_cfg = build_problem(cfg_i)
+            problem, grid, mat, solver_cfg = build_problem(cfg_i, str(config_path))
             if fields:  # warm start from the previous level
                 guess = interpolate_field(fields[-1], grids[-1], grid)
                 solver_cfg = dataclasses.replace(solver_cfg, initial_guess=guess)
@@ -488,11 +494,12 @@ def compare_nls(config_path) -> int:
         if cfg.geometry == "1d" or cfg.beam_left is None:
             raise ConfigError(
                 "compare-nls needs a multi-D config with a left beam")
-        problem, grid, mat, solver_cfg = build_problem(cfg)
+        problem, grid, mat, solver_cfg = build_problem(cfg, str(config_path))
         E, report = solvers.solve(problem, config=solver_cfg, method=cfg.solver)
         raw_beam = dict(cfg.beam_left)
         raw_beam["adjust"] = False
-        nls_initial = make_incoming(_beam_spec(raw_beam, "left", cfg.name), grid, mat)
+        nls_initial = make_incoming(_beam_spec(raw_beam, "left", str(config_path)),
+                                    grid, mat)
         first_layer = mat.layers[0]
         result = nls_march(grid, mat.k0, first_layer.eps, mat.sigma,
                            nls_initial, dz=grid.h_z)

@@ -15,9 +15,13 @@ loops and one linear-solve step:
 
 Newton and freezing make their sparse solves through _LinearSolve. On
 systems of at least REUSE_MIN_UNKNOWNS real unknowns, newton_solve keeps
-the last LU of its Jacobian and solves later steps by GMRES preconditioned
-with it, refactoring only when a Krylov solve is slow or misses its
-acceptance test.
+the last LU of its Jacobian and solves later steps by GCROT(m,k) (scipy's
+gcrotmk) right-preconditioned with it, refactoring only when a Krylov solve
+is slow or misses its acceptance test. The Krylov solve recycles: up to
+KRYLOV_RECYCLE directions of its search space, and its last solution, are
+carried from one Newton step to the next and projected out before any
+triangular solve. They are built on the live factor and dropped with it, so
+at most one factor and its directions are alive.
 
 Inexact steps: while Newton's steps are damped, a Krylov solve on a live
 factor only has to meet ||J d + F||_inf <= eta ||F||_inf, eta the
@@ -97,7 +101,7 @@ class SolveReport:
     # "MaxIter" | "NaN" | "LinearSolveFail" | "OutOfMemory"
     divergence_reason: str | None = None
     factorizations: int = 0       # sparse LU factorizations behind accepted steps
-    krylov_iterations: int = 0    # GMRES inner iterations over all steps
+    krylov_iterations: int = 0    # preconditioned Krylov iterations over all steps
     forced_steps: int = 0         # Newton steps accepted under the forcing test
     # largest LU fill, as lu.nnz: the nonzeros SuperLU stores for L and U
     # (lu.L and lu.U would build CSC copies cached on the reused factor)
@@ -106,15 +110,20 @@ class SolveReport:
 
 
 # Newton systems with at least this many real unknowns reuse their last LU as
-# a GMRES preconditioner; below it one LU per step is cheaper than the Krylov
+# a Krylov preconditioner; below it one LU per step is cheaper than the Krylov
 # bookkeeping. It sits between the largest 1D systems (~4,000) and the 2D
 # desk problems (>= 12,000).
 REUSE_MIN_UNKNOWNS = 10_000
+# preconditioned iterations of the one Krylov cycle a step may take
 KRYLOV_RESTART = 20
+# directions of the Krylov space that GCROT(m,k) carries from one Newton step
+# to the next on the same factor
+KRYLOV_RECYCLE = 20
 # a preconditioned solve slower than this means the factor has gone stale
 REFACTOR_ITERATIONS = 15
-# GMRES stops at this fraction of the contract bound, in the 2-norm (which
-# bounds the inf-norm), so accepted steps track the direct ones to ~1e-12
+# an exact Krylov solve stops at this fraction of the contract bound, in the
+# 2-norm (which bounds the inf-norm), so accepted steps track the direct ones
+# to ~1e-12
 KRYLOV_TARGET = 1e-2
 # cap (and first value) of the Eisenstat-Walker forcing term of damped Newton
 # steps; 0.0 solves every step to the contract
@@ -170,14 +179,22 @@ def _forcing_term(eta: float, ratio: float) -> float:
     return min(FORCING_MAX, eta_next)
 
 
-def _krylov_solve(J: sp.spmatrix, rhs: np.ndarray, lu,
-                  forcing: float = 0.0) -> tuple[np.ndarray | None, int]:
-    """One restart cycle of GMRES on J x = rhs, preconditioned by the LU of an
+def _krylov_solve(J: sp.spmatrix, rhs: np.ndarray, lu, forcing: float = 0.0,
+                  recycled: list | None = None) -> tuple[np.ndarray | None, int]:
+    """One GCROT(m,k) cycle on J x = rhs, right-preconditioned by the LU of an
     earlier Jacobian and started from lu.solve(rhs).
 
-    Returns (x, inner iterations); x is None unless it meets the residual
-    contract of sparse_lu_solve or, with forcing > 0, is finite with
-    ||J x - rhs||_inf <= forcing ||rhs||_inf.
+    recycled is the Krylov space carried between calls: the (c, u) pairs of
+    scipy's gcrotmk, updated in place. Its directions are projected out of
+    the start before any triangular solve, so a nearby later system needs
+    fewer preconditioned iterations; None starts from an empty space. The
+    cycle runs at most KRYLOV_RESTART preconditioned iterations (one more for
+    each recycled direction gcrotmk drops as dependent), and its residual
+    estimate is the true 2-norm residual.
+
+    Returns (x, iterations), iterations the triangular solves after x0; x is
+    None unless it meets the residual contract of sparse_lu_solve or, with
+    forcing > 0, is finite with ||J x - rhs||_inf <= forcing ||rhs||_inf.
     """
     x0 = lu.solve(rhs)
     if forcing:
@@ -193,20 +210,22 @@ def _krylov_solve(J: sp.spmatrix, rhs: np.ndarray, lu,
             return _contract_violation(J, J_norm, x, rhs) is None
     if accept(x0):
         return x0, 0
+    if recycled is None:
+        recycled = []
     iterations = 0
 
-    def count(_):
+    def precondition(v):
         nonlocal iterations
         iterations += 1
-
-    def precondition(v):
-        # gmres opens with M(rhs), only to scale its tolerance: that is x0
-        return x0.copy() if np.array_equal(v, rhs) else lu.solve(v)
+        return lu.solve(v)
 
     precond = spla.LinearOperator(J.shape, matvec=precondition, dtype=rhs.dtype)
-    x, _ = spla.gmres(J, rhs, x0=x0, M=precond, rtol=0.0, atol=atol,
-                      restart=KRYLOV_RESTART, maxiter=1,
-                      callback=count, callback_type="pr_norm")
+    # gcrotmk's cycle runs m + max(k - len(CU), 0) iterations, so m is cut
+    # while the recycled space is short to hold it at KRYLOV_RESTART
+    m = KRYLOV_RESTART - max(KRYLOV_RECYCLE - len(recycled), 0)
+    x, _ = spla.gcrotmk(J, rhs, x0=x0, M=precond, rtol=0.0, atol=atol,
+                        m=m, k=KRYLOV_RECYCLE, CU=recycled, discard_C=True,
+                        maxiter=1)
     return (x if accept(x) else None), iterations
 
 
@@ -227,15 +246,17 @@ def _start(problem: KerrSystem, config: NewtonConfig):
 class _LinearSolve:
     """The sparse linear solves of one run, with their SolveReport telemetry.
 
-    With reuse the last LU preconditions GMRES (see _krylov_solve) and is
+    With reuse the last LU preconditions GCROT(m,k) (see _krylov_solve) and is
     refactored only when that misses its test or takes over
-    REFACTOR_ITERATIONS iterations; without it every call factors afresh. At
-    most one factor is alive.
+    REFACTOR_ITERATIONS iterations; without it every call factors afresh.
+    The recycled Krylov space is carried from call to call on one factor and
+    dropped with it, so at most one factor and its space are alive.
     """
 
     def __init__(self, *, reuse: bool):
         self.reuse = reuse
         self.lu = None
+        self.recycled: list = []  # gcrotmk's (c, u) pairs, built on self.lu
         self.forced = False  # whether the last x was accepted under forcing
         self.factorizations = self.krylov_iterations = self.forced_steps = 0
         self.lu_fill = 0
@@ -248,10 +269,11 @@ class _LinearSolve:
         self.forced = False
         try:
             if self.lu is not None:
-                x, its = _krylov_solve(J, rhs, self.lu, forcing)
+                x, its = _krylov_solve(J, rhs, self.lu, forcing, self.recycled)
                 self.krylov_iterations += its
                 if x is None or its > REFACTOR_ITERATIONS:
-                    self.lu = None  # stale; dropped before splu so one factor is alive
+                    # stale; dropped before splu so one factor is alive
+                    self.lu, self.recycled = None, []
                 if x is not None and forcing:
                     self.forced = True
                     self.forced_steps += 1
@@ -296,7 +318,7 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     while ||delta||_inf >= switch_threshold, full steps after; converged when
     ||delta||_inf < convergence_tol.
 
-    Large systems (see REUSE_MIN_UNKNOWNS) solve for delta by GMRES
+    Large systems (see REUSE_MIN_UNKNOWNS) solve for delta by GCROT(m,k)
     preconditioned with the last LU while that stays within
     REFACTOR_ITERATIONS iterations; a step whose Krylov solve misses its test
     is factored afresh. A mirror-symmetric problem iterates on its half

@@ -398,7 +398,16 @@ class TestSolveCommand:
          "beam_left: unknown fields ['wdith']"),
         ({"beam_left": {"shape": "sech", "r0": 1.0}},
          "beam_left: 1d beams take only amplitude_re/amplitude_im, got ['r0', 'shape']"),
-    ], ids=["layer-key", "Zmax", "beam-key", "1d-beam"])
+        # raised while build_problem builds the beams and the stack; M = 48
+        # gives steps comparable to h_z
+        ({**_MULTID, "M": 48, "beam_left": {"shape": "triangle", "width": 1.0}},
+         "beam_left: unknown beam shape 'triangle'"),
+        ({**_MULTID, "M": 48, "beam_left": {"width": 1.0}},
+         "beam_left: missing field 'shape'"),
+        ({"Zmax": 4.0, "layers": [{"z_from": 1.0, "z_to": 4.0, "nu": 1.5, "eps": 0.0}]},
+         "first layer must start at z=0"),
+    ], ids=["layer-key", "Zmax", "beam-key", "1d-beam", "beam-shape", "no-shape",
+            "stack-start"])
     def test_config_error_names_file_and_field(self, tmp_path, capsys, over, named):
         path, _ = write_config(tmp_path, **over)
         assert main(["solve", str(path)]) == 1

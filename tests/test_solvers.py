@@ -31,6 +31,7 @@ from nlhelm import (
     freezing_solve,
     make_incoming,
     newton_solve,
+    poynting_flux,
     solve,
     solve_1d,
     solvers,
@@ -60,6 +61,19 @@ def soliton_slab():
         grid = build_grid_multi(16.0, 102, 6.0, 56, "cartesian")
     beam = make_incoming(BeamSpec(shape="sech", r0=math.sqrt(2.0), adjust=True), grid, mat)
     return HelmholtzProblem(grid, mat, einc_left=beam)
+
+
+def counter_propagating_pair():
+    """The soliton slab driven through both faces by unadjusted sech beams of
+    r0 = sqrt(2), the right one at amplitude 0.5."""
+    mat = MaterialStack(k0=K0, sigma=1.0, layers=(Layer(0.0, 16.0, 1.0, 1.0 / 16.0),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        grid = build_grid_multi(16.0, 102, 6.0, 56, "cartesian")
+    left, right = (make_incoming(BeamSpec(shape="sech", r0=math.sqrt(2.0),
+                                          amplitude=amplitude, side=side), grid, mat)
+                   for amplitude, side in ((1.0, "left"), (0.5, "right")))
+    return grid, HelmholtzProblem(grid, mat, einc_left=left, einc_right=right)
 
 
 def weak_kerr_slab_2d(geometry, extent):
@@ -176,9 +190,8 @@ class TestKrylovSolve:
         assert np.abs(J @ x - rhs).max() <= bound
 
     def test_one_triangular_solve_per_inner_iteration(self):
-        # lu.solve(rhs) for x0, gmres's M(r0), and one M(J v) per inner
-        # iteration; gmres's opening M(rhs), which only scales its
-        # tolerance, is x0 again and costs no solve
+        # lu.solve(rhs) for x0 and one preconditioner application per inner
+        # iteration; the right-preconditioned cycle needs no M(r0)
         rng = np.random.default_rng(3)
         A = self.banded(rng)
         J = (A + sp.diags(1e-3 * rng.normal(size=A.shape[0]))).tocsr()
@@ -192,8 +205,65 @@ class TestKrylovSolve:
 
         x, iterations = solvers._krylov_solve(J, rhs, CountingLu())
         assert x is not None and iterations > 0
-        assert len(solved) == iterations + 2
+        assert len(solved) == iterations + 1
         assert sum(np.array_equal(v, rhs) for v in solved) == 1
+
+    @staticmethod
+    def nearby_systems(rng, count, n=200):
+        """(lu of a banded A, [(J_k, rhs_k)]): J_k = A + (1 + k/100) D with D
+        large on ten nodes, so the Kerr-like change is localized as between
+        Newton steps."""
+        A = TestKrylovSolve.banded(rng, n)
+        d = 1e-2 * rng.normal(size=n)
+        d[90:100] = 3.0 * rng.normal(size=10)
+        systems = [((A + sp.diags((1 + k / 100) * d)).tocsr(), rng.normal(size=n))
+                   for k in range(count)]
+        return spla.splu(A.tocsc()), systems
+
+    def test_recycled_space_cuts_iterations_on_nearby_systems(self):
+        lu, systems = self.nearby_systems(np.random.default_rng(3), 6)
+        recycled, iterations = [], []
+        for J, rhs in systems:
+            x, its = solvers._krylov_solve(J, rhs, lu, recycled=recycled)
+            assert x is not None
+            iterations.append(its)
+        _, fresh = solvers._krylov_solve(J, rhs, lu)
+        assert 0 < len(recycled) <= solvers.KRYLOV_RECYCLE + 1
+        # the first system has nothing to recycle; the space then grows
+        assert iterations[0] == fresh
+        assert iterations[-1] < fresh
+        assert iterations == sorted(iterations)[::-1]
+        bound = 1e-10 * (abs(J).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max())
+        assert np.abs(J @ x - rhs).max() <= bound
+
+    def test_call_without_space_is_independent_of_earlier_calls(self):
+        lu, systems = self.nearby_systems(np.random.default_rng(3), 3)
+        (J, rhs), *others = systems
+        x_before, its_before = solvers._krylov_solve(J, rhs, lu)
+        recycled = []
+        for J_other, rhs_other in others:
+            solvers._krylov_solve(J_other, rhs_other, lu, recycled=recycled)
+        x_after, its_after = solvers._krylov_solve(J, rhs, lu)
+        assert len(recycled) > 0
+        assert its_after == its_before > 0
+        assert np.array_equal(x_after, x_before)
+
+    def test_space_lives_and_dies_with_the_factor(self):
+        # _LinearSolve carries the space from step to step on one factor and
+        # drops it with that factor
+        _, [(J1, r1), (J2, r2), (J3, r3)] = self.nearby_systems(
+            np.random.default_rng(3), 3)
+        linear = solvers._LinearSolve(reuse=True)
+        linear(J1, r1)
+        assert linear.factorizations == 1 and linear.recycled == []
+        linear(J2, r2)
+        first = linear.lu
+        assert linear.factorizations == 1 and len(linear.recycled) > 0
+        unrelated = self.banded(np.random.default_rng(4))
+        x, failure = linear(unrelated, r3)
+        assert failure is None and x is not None
+        assert linear.factorizations == 2 and linear.lu is not first
+        assert linear.recycled == []
 
     def test_unrelated_preconditioner_declines(self):
         rng = np.random.default_rng(4)
@@ -368,16 +438,16 @@ class TestFactorReuse:
         assert report.krylov_iterations > 0
 
     def test_failed_krylov_steps_refactor(self, slab_2d, monkeypatch):
-        # a GMRES that never improves its start leaves every step that needs
-        # it to a fresh LU in the same step
+        # a Krylov solve that never improves its start leaves every step that
+        # needs it to a fresh LU in the same step
         problem, E_direct, direct = slab_2d
         calls = []
 
-        def stalled_gmres(A, b, x0=None, **kwargs):
+        def stalled_gcrotmk(A, b, x0=None, **kwargs):
             calls.append(1)
             return x0.copy(), 1
 
-        monkeypatch.setattr(spla, "gmres", stalled_gmres)
+        monkeypatch.setattr(spla, "gcrotmk", stalled_gcrotmk)
         monkeypatch.setattr(solvers, "FORCING_MAX", 0.0)
         E, report = newton_solve(problem)
         assert report.divergence_reason is None
@@ -447,6 +517,21 @@ class TestForcing:
         problem, E_direct, _ = slab_2d
         E, report = newton_solve(problem)
         assert report.converged and report.forced_steps == 0
+        assert np.abs(E - E_direct).max() <= 1e-12 * np.abs(E_direct).max()
+
+
+class TestCounterPropagatingPair:
+    def test_net_power_constant_and_matches_direct_path(self, monkeypatch):
+        grid, problem = counter_propagating_pair()
+        E, report = newton_solve(problem)
+        assert report.converged and report.mirror_folded
+        assert report.factorizations < report.iterations  # on the reuse path
+        # the net power of the two beams is constant across the slab, away
+        # from the entry and exit rows (as acceptance check 11)
+        assert poynting_flux(E, grid, K0).power_deviation(2, grid.N - 2) <= 0.01
+        monkeypatch.setattr(solvers, "REUSE_MIN_UNKNOWNS", 10 * 2 * problem.size)
+        E_direct, direct = newton_solve(problem)
+        assert direct.converged and direct.factorizations == direct.iterations
         assert np.abs(E - E_direct).max() <= 1e-12 * np.abs(E_direct).max()
 
 
