@@ -154,13 +154,19 @@ class KerrSystem:
         K = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
         return (self._A_real + K).tocsr()
 
-    # Born inner solves need a fast application of the uniform linear
-    # operator's inverse; subclasses provide it.
+    # Born's inner sweeps and Newton's cold start (through linear_inverse)
+    # need a fast application of the uniform linear operator's inverse;
+    # subclasses provide it.
     def vacuum_operator(self) -> sp.csr_matrix:
         raise NotImplementedError
 
     def vacuum_solve(self, rhs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def linear_inverse(self):
+        """A function applying A_lin^{-1} to a complex vector without a
+        sparse factor, or None where the system has none."""
+        return None
 
 
 def mirror_fold(system: KerrSystem, e: np.ndarray):

@@ -15,9 +15,12 @@ outside the domain is a per-mode combination of incoming injection and
 one-step outward propagation, giving dense M x M blocks at those two rows
 only. The same eigenbasis splits the uniform vacuum operator into M
 tridiagonal systems, which `vacuum_solve` factors once per problem and
-applies on each call. With M=1 and mirror closures on both walls every
-transverse block is a scalar and the system is the slab problem that
-`helmholtz_1d` exposes.
+applies on each call. A_lin differs from that operator only on the rows
+of material jumps and of nu != 1; where those are few (a nu = 1 slab: its
+two faces), `linear_inverse` applies A_lin^{-1} exactly by two vacuum
+solves and a small capacitance system on those rows. With M=1 and mirror
+closures on both walls every transverse block is a scalar and the system is
+the slab problem that `helmholtz_1d` exposes.
 
 Unknown ordering is n-major, m-minor; the real split interleaves (Re, Im)
 per node (see fields.to_real_split).
@@ -193,7 +196,6 @@ class HelmholtzProblem(KerrSystem):
         super().__init__(A, C, b, mat.sigma,
                          field_shape=(grid.num_nodes, grid.M))
         self.mirror = self._section_mirror()
-        self._vacuum: sp.csr_matrix | None = None
 
     def _section_mirror(self) -> np.ndarray | None:
         """m <-> M-1-m within each row, kept only for a Cartesian section
@@ -238,13 +240,14 @@ class HelmholtzProblem(KerrSystem):
 
     def vacuum_operator(self) -> sp.csr_matrix:
         """Uniform linear operator: every non-boundary row a compact row
-        with W = 1, eps = 0."""
-        if self._vacuum is None:
-            n = self.grid.num_nodes - 2
-            self._vacuum, _, _ = _assemble(
-                self.grid, self.k0, np.ones(n), np.zeros(n), np.zeros(n, dtype=bool),
-                self._blocks, self.eigensystem, None, None)
-        return self._vacuum
+        with W = 1, eps = 0. Assembled on each call and not kept: each solve
+        needs it once (Born's A_lin - A0, the capacitance set-up), and a kept
+        copy would stay resident through Newton's later LUs."""
+        n = self.grid.num_nodes - 2
+        A0, _, _ = _assemble(
+            self.grid, self.k0, np.ones(n), np.zeros(n), np.zeros(n, dtype=bool),
+            self._blocks, self.eigensystem, None, None)
+        return A0
 
     @cached_property
     def _vacuum_inverse(self):
@@ -262,6 +265,48 @@ class HelmholtzProblem(KerrSystem):
         if info:
             raise np.linalg.LinAlgError("singular vacuum operator")
         return eig.modes_inverse.T, factor, eig.modes.T
+
+    @cached_property
+    def _capacitance(self):
+        """(rows r, D_r, LU of S) of the capacitance method for A_lin, built
+        on first use, or None where it declines.
+
+        A_lin = A0 + E_r D_r, with r the rows where D = A_lin - A0 is nonzero,
+        D_r those rows of D and E_r the identity columns r; then
+        A_lin^{-1} = A0^{-1} - A0^{-1} E_r S^{-1} D_r A0^{-1} with the k x k
+        capacitance S = I + D_r A0^{-1} E_r (k = len(r)). S is filled one
+        column, and so one vacuum solve, at a time: no n x k block is held (a
+        multi-column vacuum solve is no faster per column). Declined when S
+        would not be small next to A_lin: k^2 > A_lin.nnz, as for a nu != 1
+        interior or a dense grating."""
+        D = (self.A_lin - self.vacuum_operator()).tocsr()
+        rows = np.flatnonzero(np.diff(D.indptr))
+        k = rows.size
+        if k * k > self.A_lin.nnz:
+            return None
+        D_r = D[rows]
+        S = np.identity(k, dtype=np.complex128)
+        unit = np.zeros(self.size, dtype=np.complex128)
+        for j, r in enumerate(rows):
+            unit[r] = 1.0
+            S[:, j] += D_r @ self.vacuum_solve(unit)
+            unit[r] = 0.0
+        return rows, D_r, scipy.linalg.lu_factor(S)
+
+    def linear_inverse(self):
+        """A_lin^{-1} by the capacitance method (see _capacitance) as a
+        function of a complex vector, or None where it declines; set up on
+        the first call. Each application makes two vacuum solves."""
+        if self._capacitance is None:
+            return None
+        rows, D_r, S = self._capacitance
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            z = rhs.copy()
+            z[rows] -= scipy.linalg.lu_solve(S, D_r @ self.vacuum_solve(rhs))
+            return self.vacuum_solve(z)
+
+        return solve
 
     def vacuum_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Invert the vacuum operator by separation of variables: transform

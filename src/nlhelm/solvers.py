@@ -23,6 +23,15 @@ carried from one Newton step to the next and projected out before any
 triangular solve. They are built on the live factor and dropped with it, so
 at most one factor and its directions are alive.
 
+Cold start: from e = 0 the Jacobian is real_split(A_lin), and where the
+system has an exact inverse of A_lin that needs no sparse factor
+(KerrSystem.linear_inverse: on a nu = 1 slab, two vacuum solves and a
+capacitance correction on the slab-face rows) newton_solve's first step
+solves with it, through a complex view of the real-split vectors, in place
+of an LU. Held to the residual contract of sparse_lu_solve (else SuperLU
+factors as usual), it then serves as the live factor, under the same
+refactor rule.
+
 Inexact steps: while Newton's steps are damped, a Krylov solve on a live
 factor only has to meet ||J d + F||_inf <= eta ||F||_inf, eta the
 Eisenstat-Walker forcing term (capped at FORCING_MAX); such a step is
@@ -100,7 +109,9 @@ class SolveReport:
     max_amplitude: float = 0.0
     # "MaxIter" | "NaN" | "LinearSolveFail" | "OutOfMemory"
     divergence_reason: str | None = None
-    factorizations: int = 0       # sparse LU factorizations behind accepted steps
+    # SuperLU factorizations behind accepted steps; Newton's separable cold
+    # start (KerrSystem.linear_inverse) is not counted
+    factorizations: int = 0
     krylov_iterations: int = 0    # preconditioned Krylov iterations over all steps
     forced_steps: int = 0         # Newton steps accepted under the forcing test
     # largest LU fill, as lu.nnz: the nonzeros SuperLU stores for L and U
@@ -243,6 +254,19 @@ def _start(problem: KerrSystem, config: NewtonConfig):
     return (problem, e, None) if half is None else half
 
 
+class _SeparableFactor:
+    """An exact inverse of a complex operator, applied with a SuperLU
+    factor's solve signature to interleaved real-split vectors through a
+    zero-copy complex view."""
+
+    def __init__(self, inverse):
+        self.inverse = inverse
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        v = np.ascontiguousarray(v, dtype=np.float64)
+        return self.inverse(v.view(np.complex128)).view(np.float64)
+
+
 class _LinearSolve:
     """The sparse linear solves of one run, with their SolveReport telemetry.
 
@@ -251,10 +275,17 @@ class _LinearSolve:
     REFACTOR_ITERATIONS iterations; without it every call factors afresh.
     The recycled Krylov space is carried from call to call on one factor and
     dropped with it, so at most one factor and its space are alive.
+
+    inverse, an exact inverse of the first call's complex operator (see
+    KerrSystem.linear_inverse), stands in for that call's LU: its solve is
+    held to the contract of sparse_lu_solve (else SuperLU factors as usual)
+    and then serves as the live factor. It is not counted as a
+    factorization.
     """
 
-    def __init__(self, *, reuse: bool):
+    def __init__(self, *, reuse: bool, inverse=None):
         self.reuse = reuse
+        self.inverse = inverse
         self.lu = None
         self.recycled: list = []  # gcrotmk's (c, u) pairs, built on self.lu
         self.forced = False  # whether the last x was accepted under forcing
@@ -277,6 +308,13 @@ class _LinearSolve:
                 if x is not None and forcing:
                     self.forced = True
                     self.forced_steps += 1
+            if self.inverse is not None:
+                lu, self.inverse = _SeparableFactor(self.inverse), None
+                x = lu.solve(rhs)
+                if _contract_violation(J, np.abs(J).sum(axis=1).max(), x, rhs):
+                    x = None
+                else:
+                    self.lu = lu
             if x is None:
                 x, lu = sparse_lu_solve(J, rhs, return_factor=True)
                 self.factorizations += 1
@@ -321,8 +359,9 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     Large systems (see REUSE_MIN_UNKNOWNS) solve for delta by GCROT(m,k)
     preconditioned with the last LU while that stays within
     REFACTOR_ITERATIONS iterations; a step whose Krylov solve misses its test
-    is factored afresh. A mirror-symmetric problem iterates on its half
-    section.
+    is factored afresh. From e = 0 the first step is solved by the system's
+    linear_inverse in place of an LU where it has one (see the module
+    docstring). A mirror-symmetric problem iterates on its half section.
 
     Inexact steps: when the previous step was damped (the first step counts
     as damped) and a factor is live, the Krylov solve is forced: it is
@@ -339,8 +378,11 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     if not problem.has_kerr:
         return freezing_solve(problem, config)
     config = config or NewtonConfig()
-    linear = _LinearSolve(reuse=2 * problem.size >= REUSE_MIN_UNKNOWNS)
     system, e, gather = _start(problem, config)
+    reuse = 2 * problem.size >= REUSE_MIN_UNKNOWNS
+    # the Jacobian at e = 0 is real_split(A_lin)
+    linear = _LinearSolve(reuse=reuse, inverse=system.linear_inverse()
+                          if reuse and not e.any() else None)
     history: list[HistoryEntry] = []
     reason = "MaxIter"
     converged = False

@@ -38,6 +38,7 @@ from nlhelm import (
     residual_interior_cylindrical,
     sample_material,
     solve_nd,
+    solvers,
     symmetric_closure,
     to_real_split,
 )
@@ -492,3 +493,60 @@ class TestVacuumSolve:
             for _ in range(3):
                 assert np.array_equal(problem.vacuum_solve(rhs), first)
         assert calls == [grid.num_nodes * grid.M, slab.grid.num_nodes]
+
+
+def kerr_slab(geometry="cartesian", extent=6.0, nu=1.0, right=False):
+    """32 x 12 Kerr slab (eps = 1/16) under a Gaussian beam, optionally with a
+    second beam of half the amplitude entering through the right face."""
+    mat = MaterialStack(k0=K0, sigma=1.0, layers=(Layer(0.0, 4.0, nu, 0.0625),))
+    grid = quiet_grid(4.0, 32, extent, 12, geometry)
+    beam = np.exp(-(grid.transverse_coords() / 1.5) ** 2).astype(complex)
+    return HelmholtzProblem(grid, mat, einc_left=beam,
+                            einc_right=0.5 * beam if right else None)
+
+
+class TestLinearInverse:
+    @pytest.mark.parametrize("case", [
+        dict(geometry="cartesian", extent=6.0),
+        dict(geometry="cylindrical", extent=4.0),
+        dict(right=True),
+        "half_section",
+    ], ids=["cartesian", "cylindrical", "einc-right", "half-section"])
+    def test_meets_sparse_lu_contract_against_A_lin(self, case):
+        if case == "half_section":
+            problem = TestSectionMirror.beam_problem().half_section()
+        else:
+            problem = kerr_slab(**case)
+        A = problem.A_lin
+        # the slab faces are where A_lin departs from the vacuum operator
+        assert (A - problem.vacuum_operator()).count_nonzero() > 0
+        inverse = problem.linear_inverse()
+        rng = np.random.default_rng(11)
+        noise = rng.normal(size=problem.size) + 1j * rng.normal(size=problem.size)
+        for rhs in (problem.b, noise):
+            x = inverse(rhs)
+            assert solvers._contract_violation(A, np.abs(A).sum(axis=1).max(),
+                                               x, rhs) is None
+
+    def test_set_up_once_then_two_vacuum_solves_per_application(self, monkeypatch):
+        calls = []
+        vacuum_solve = HelmholtzProblem.vacuum_solve
+
+        def spy(self, rhs):
+            calls.append(rhs.size)
+            return vacuum_solve(self, rhs)
+
+        monkeypatch.setattr(HelmholtzProblem, "vacuum_solve", spy)
+        problem = kerr_slab()
+        inverse = problem.linear_inverse()
+        # one vacuum solve per capacitance column: a row of each face
+        assert calls == [problem.size] * 2 * problem.grid.M
+        calls.clear()
+        x = inverse(problem.b)
+        # set up once per problem
+        assert np.array_equal(problem.linear_inverse()(problem.b), x)
+        assert calls == [problem.size] * 4
+
+    def test_declines_on_a_dense_interior(self):
+        # nu = 1.5 makes every slab row differ from the vacuum operator
+        assert kerr_slab(nu=1.5).linear_inverse() is None

@@ -122,6 +122,20 @@ def spy_factorizations(monkeypatch):
     return seen
 
 
+def spy_separable_solves(monkeypatch):
+    """Record the size of every real-split vector that a separable cold-start
+    factor solves for."""
+    seen = []
+    real = solvers._SeparableFactor.solve
+
+    def spy(self, v):
+        seen.append(v.size)
+        return real(self, v)
+
+    monkeypatch.setattr(solvers._SeparableFactor, "solve", spy)
+    return seen
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -432,14 +446,17 @@ class TestFactorReuse:
         monkeypatch.setattr(solvers, "FORCING_MAX", 0.0)
         problem, E_direct, direct = slab_2d
         assert 2 * problem.size >= solvers.REUSE_MIN_UNKNOWNS
+        cold = spy_separable_solves(monkeypatch)
         E, report = newton_solve(problem)
         assert_matches_direct(E, report, E_direct, direct)
         assert report.factorizations < report.iterations
         assert report.krylov_iterations > 0
+        assert cold  # from the separable cold start
 
     def test_failed_krylov_steps_refactor(self, slab_2d, monkeypatch):
         # a Krylov solve that never improves its start leaves every step that
-        # needs it to a fresh LU in the same step
+        # needs it to a fresh LU in the same step; the cold start (step 0)
+        # takes the separable inverse, not an LU
         problem, E_direct, direct = slab_2d
         calls = []
 
@@ -453,8 +470,48 @@ class TestFactorReuse:
         assert report.divergence_reason is None
         assert_matches_direct(E, report, E_direct, direct)
         assert len(calls) > 0
-        assert report.factorizations == 1 + len(calls)
+        assert report.factorizations == len(calls)
         assert report.krylov_iterations == 0
+
+
+class TestSeparableColdStart:
+    # Newton from e = 0 on the reuse path solves step 0 with the separable
+    # inverse of A_lin (HelmholtzProblem.linear_inverse) in place of an LU
+    def test_step_zero_makes_no_lu(self, monkeypatch):
+        seen = spy_factorizations(monkeypatch)
+        cold = spy_separable_solves(monkeypatch)
+        _, report = newton_solve(soliton_slab(), NewtonConfig(max_iterations=2))
+        assert report.iterations == 2 and report.mirror_folded
+        assert seen == [] and report.factorizations == 0
+        # step 0's solve, then step 1's Krylov solve preconditioned by it
+        assert len(cold) == 2 + report.krylov_iterations
+
+    def test_warm_start_factors_at_step_zero(self, slab_2d, monkeypatch):
+        problem, E_direct, _ = slab_2d
+        seen = spy_factorizations(monkeypatch)
+        cold = spy_separable_solves(monkeypatch)
+        _, report = newton_solve(problem, NewtonConfig(initial_guess=0.5 * E_direct,
+                                                       max_iterations=1))
+        assert report.mirror_folded and report.factorizations == 1
+        assert len(seen) == 1 and cold == []
+
+    def test_inverse_missing_the_contract_falls_back_to_lu(self, monkeypatch):
+        E_ref, ref = newton_solve(soliton_slab())
+        real = HelmholtzProblem.linear_inverse
+
+        def spoiled(self):
+            inverse = real(self)
+            return lambda rhs: 1.001 * inverse(rhs)
+
+        monkeypatch.setattr(HelmholtzProblem, "linear_inverse", spoiled)
+        seen = spy_factorizations(monkeypatch)
+        cold = spy_separable_solves(monkeypatch)
+        E, report = newton_solve(soliton_slab())
+        assert len(cold) == 1  # tried at step 0, then never preconditions
+        assert report.converged and report.iterations == ref.iterations
+        assert report.forced_steps == ref.forced_steps
+        assert report.factorizations == ref.factorizations + 1 == len(seen)
+        assert np.abs(E - E_ref).max() <= 1e-12 * np.abs(E_ref).max()
 
 
 @pytest.fixture(scope="module")
@@ -673,10 +730,14 @@ class TestMirrorFold:
     def test_linear_systems_are_half_size(self, monkeypatch):
         problem = soliton_slab()
         seen = spy_factorizations(monkeypatch)
-        _, report = newton_solve(problem, NewtonConfig(max_iterations=2))
-        assert report.mirror_folded and report.factorizations > 0
+        cold = spy_separable_solves(monkeypatch)
+        # a whole run: the cold start takes the separable inverse, and the
+        # first LU comes only once a Krylov solve on it falls short
+        _, report = newton_solve(problem)
+        assert report.mirror_folded and report.factorizations > 0 and cold
         # half of the 2 * size real-split unknowns
         assert [rows for rows, _ in seen] == [problem.size] * report.factorizations
+        assert set(cold) == {problem.size}
 
     @pytest.mark.parametrize("method", [newton_solve, freezing_solve, born_solve])
     def test_runs_build_nothing_full_size(self, method, monkeypatch):
