@@ -98,8 +98,9 @@ class KerrSystem:
         self.size = self.A_lin.shape[0]
         assert self.A_lin.shape == (self.size, self.size)
         assert self.b.shape == (self.size,)
+        # real_split_matrix of A_lin and C, built with the first Jacobian
         self._A_real: sp.csr_matrix | None = None
-        self._C_coo = None
+        self._C_real: sp.csr_matrix | None = None
         # node involution the system is invariant under, or None
         self.mirror: np.ndarray | None = None
 
@@ -130,28 +131,22 @@ class KerrSystem:
         return (self.A_lin + self.C @ sp.diags(w, format="csr")).tocsr()
 
     def jacobian_real(self, e: np.ndarray) -> sp.csr_matrix:
-        """Exact Jacobian of the real-split residual at the complex field e."""
+        """Exact Jacobian of the real-split residual at the complex field e:
+        real_split(A_lin) + real_split(C) D(e), D(e) the block diagonal of
+        the nodes' 2x2 Kerr derivative blocks (kerr_block_entries)."""
         if self._A_real is None:
             self._A_real = real_split_matrix(self.A_lin)
+            self._C_real = real_split_matrix(self.C)
         if not self.has_kerr:
             return self._A_real
-        if self._C_coo is None:
-            coo = self.C.tocoo()
-            self._C_coo = (coo.row.astype(np.int64), coo.col.astype(np.int64),
-                           coo.data.real.copy(), coo.data.imag.copy())
-        i, j, gr, gi = self._C_coo
-        a, bb, c = kerr_block_entries(e[j], self.sigma)
-        # complex coefficient g times the real 2x2 block [[a,b],[b,c]]
-        rows = np.concatenate([2 * i, 2 * i, 2 * i + 1, 2 * i + 1])
-        cols = np.concatenate([2 * j, 2 * j + 1, 2 * j, 2 * j + 1])
-        vals = np.concatenate([
-            gr * a - gi * bb,
-            gr * bb - gi * c,
-            gi * a + gr * bb,
-            gi * bb + gr * c,
-        ])
-        n = 2 * self.size
-        K = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        a, b, c = kerr_block_entries(e, self.sigma)
+        blocks = np.stack([a, b, b, c], axis=-1).reshape(-1, 2, 2)
+        n = np.arange(self.size + 1)
+        D = sp.bsr_matrix((blocks, n[:-1], n), shape=self._C_real.shape)
+        K = self._C_real @ D
+        # the product leaves its rows' columns unsorted; sorted, the sum is
+        # canonical CSR
+        K.sort_indices()
         return (self._A_real + K).tocsr()
 
     # Born's inner sweeps and Newton's cold start (through linear_inverse)

@@ -302,14 +302,18 @@ def read_field(path) -> tuple[dict, np.ndarray]:
     tag, N, M, h_z, h_perp, k0 = _HEADER.unpack_from(raw, 16)
     if tag not in _GEOMETRY_NAMES:
         raise ValueError(f"{path}: unknown geometry tag {tag}")
-    header = {"geometry": _GEOMETRY_NAMES[tag], "N": N, "M": M,
+    geometry = _GEOMETRY_NAMES[tag]
+    # a 1d field is one column; a multi-D one has at least one
+    if M < 1 or (geometry == "1d" and M != 1):
+        raise ValueError(f"{path}: M = {M} does not fit a {geometry} field")
+    header = {"geometry": geometry, "N": N, "M": M,
               "h_z": h_z, "h_perp": h_perp, "k0": k0}
     body = np.frombuffer(raw, dtype="<c16", offset=16 + _HEADER.size)
     count = (N + 7) * M
     if body.size != count:
         raise ValueError(f"{path}: expected {count} nodes, found {body.size}")
     E = body.astype(np.complex128)
-    if header["geometry"] != "1d":
+    if geometry != "1d":
         E = E.reshape(N + 7, M)
     return header, E
 

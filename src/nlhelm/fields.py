@@ -282,16 +282,13 @@ def field_zeros(grid) -> np.ndarray:
 
 def to_real_split(E: np.ndarray) -> np.ndarray:
     """Complex field -> real vector of twice the length, interleaved
-    (Re, Im) per node, nodes flattened n-major m-minor."""
-    flat = np.ascontiguousarray(E, dtype=np.complex128).reshape(-1)
-    out = np.empty(2 * flat.size, dtype=np.float64)
-    out[0::2] = flat.real
-    out[1::2] = flat.imag
-    return out
+    (Re, Im) per node, nodes flattened n-major m-minor: a copy of the
+    complex128 buffer read as float64."""
+    return np.array(E, dtype=np.complex128, order="C").reshape(-1).view(np.float64)
 
 
 def from_real_split(v: np.ndarray, shape) -> np.ndarray:
-    """Inverse of to_real_split; lossless round-trip."""
-    v = np.asarray(v, dtype=np.float64)
-    flat = v[0::2] + 1j * v[1::2]
-    return flat.reshape(shape)
+    """Inverse of to_real_split, a copy of the float64 buffer read as
+    complex128: bit for bit, signed zeros, infinities and NaNs included."""
+    flat = np.array(v, dtype=np.float64, order="C").reshape(-1)
+    return flat.view(np.complex128).reshape(shape)

@@ -26,11 +26,12 @@ at most one factor and its directions are alive.
 Cold start: from e = 0 the Jacobian is real_split(A_lin), and where the
 system has an exact inverse of A_lin that needs no sparse factor
 (KerrSystem.linear_inverse: on a nu = 1 slab, two vacuum solves and a
-capacitance correction on the slab-face rows) newton_solve's first step
-solves with it, through a complex view of the real-split vectors, in place
-of an LU. Held to the residual contract of sparse_lu_solve (else SuperLU
-factors as usual), it then serves as the live factor, under the same
-refactor rule.
+capacitance correction on the slab-face rows) newton_solve hands it to
+_LinearSolve as the first live factor, applied through a complex view of
+the real-split vectors (_SeparableFactor). The first step is then solved as
+any reuse step is: from the inverse's solution, by GCROT if that misses the
+contract, by a fresh LU if GCROT misses it too; the same refactor rule
+retires it.
 
 Inexact steps: while Newton's steps are damped, a Krylov solve on a live
 factor only has to meet ||J d + F||_inf <= eta ||F||_inf, eta the
@@ -90,8 +91,9 @@ class NewtonConfig:
             raise ValueError(f"omega must be in (0, 1], got {self.omega}")
         if self.convergence_tol <= 0 or self.switch_threshold <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        for name in ("max_iterations", "born_inner_iterations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -276,17 +278,15 @@ class _LinearSolve:
     The recycled Krylov space is carried from call to call on one factor and
     dropped with it, so at most one factor and its space are alive.
 
-    inverse, an exact inverse of the first call's complex operator (see
-    KerrSystem.linear_inverse), stands in for that call's LU: its solve is
-    held to the contract of sparse_lu_solve (else SuperLU factors as usual)
-    and then serves as the live factor. It is not counted as a
+    factor, anything with a SuperLU factor's solve (Newton's cold start
+    passes a _SeparableFactor), is the first live factor: the first call
+    solves with it as any reuse step does, and it is not counted as a
     factorization.
     """
 
-    def __init__(self, *, reuse: bool, inverse=None):
+    def __init__(self, *, reuse: bool, factor=None):
         self.reuse = reuse
-        self.inverse = inverse
-        self.lu = None
+        self.lu = factor
         self.recycled: list = []  # gcrotmk's (c, u) pairs, built on self.lu
         self.forced = False  # whether the last x was accepted under forcing
         self.factorizations = self.krylov_iterations = self.forced_steps = 0
@@ -308,13 +308,6 @@ class _LinearSolve:
                 if x is not None and forcing:
                     self.forced = True
                     self.forced_steps += 1
-            if self.inverse is not None:
-                lu, self.inverse = _SeparableFactor(self.inverse), None
-                x = lu.solve(rhs)
-                if _contract_violation(J, np.abs(J).sum(axis=1).max(), x, rhs):
-                    x = None
-                else:
-                    self.lu = lu
             if x is None:
                 x, lu = sparse_lu_solve(J, rhs, return_factor=True)
                 self.factorizations += 1
@@ -359,18 +352,18 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     Large systems (see REUSE_MIN_UNKNOWNS) solve for delta by GCROT(m,k)
     preconditioned with the last LU while that stays within
     REFACTOR_ITERATIONS iterations; a step whose Krylov solve misses its test
-    is factored afresh. From e = 0 the first step is solved by the system's
-    linear_inverse in place of an LU where it has one (see the module
-    docstring). A mirror-symmetric problem iterates on its half section.
+    is factored afresh. From e = 0 the system's linear_inverse, where it
+    has one, is the first live factor (see the module docstring). A
+    mirror-symmetric problem iterates on its half section.
 
-    Inexact steps: when the previous step was damped (the first step counts
-    as damped) and a factor is live, the Krylov solve is forced: it is
-    accepted once finite with ||J delta + F||_inf <= eta_k ||F||_inf, where
-    eta_0 = FORCING_MAX and eta_k follows Eisenstat-Walker choice 2 on
-    ||F_k||_inf / ||F_k-1||_inf (see _forcing_term). Every other step, and
-    every step solved by a fresh LU, meets the residual contract of
-    sparse_lu_solve; convergence is declared only on such an exact step.
-    SolveReport.forced_steps counts the forced ones.
+    Inexact steps: when the previous step was damped and a factor is live,
+    the Krylov solve is forced: it is accepted once finite with
+    ||J delta + F||_inf <= eta_k ||F||_inf, where eta_0 = FORCING_MAX and
+    eta_k follows Eisenstat-Walker choice 2 on ||F_k||_inf / ||F_k-1||_inf
+    (see _forcing_term). Every other step (the first, which has no previous
+    step, included), and every step solved by a fresh LU, meets the
+    residual contract of sparse_lu_solve; convergence is declared only on
+    such an exact step. SolveReport.forced_steps counts the forced ones.
 
     A linear problem (no Kerr term) is solved by freezing_solve, whose one
     exact solve is the first full Newton step; relaxing it would only add
@@ -381,12 +374,14 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     system, e, gather = _start(problem, config)
     reuse = 2 * problem.size >= REUSE_MIN_UNKNOWNS
     # the Jacobian at e = 0 is real_split(A_lin)
-    linear = _LinearSolve(reuse=reuse, inverse=system.linear_inverse()
-                          if reuse and not e.any() else None)
+    inverse = system.linear_inverse() if reuse and not e.any() else None
+    linear = _LinearSolve(reuse=reuse, factor=None if inverse is None
+                          else _SeparableFactor(inverse))
     history: list[HistoryEntry] = []
     reason = "MaxIter"
     converged = False
-    forcing, damped = FORCING_MAX, True
+    # damped: whether the previous step was; the first step is exact
+    forcing, damped = FORCING_MAX, False
     for _ in range(config.max_iterations):
         F = system.residual_complex(e)
         resid_norm = float(np.abs(F).max())

@@ -14,6 +14,9 @@ import scipy.sparse.linalg
 from nlhelm import ConfigError, build_grid_1d, build_grid_multi
 from nlhelm.solvers import HistoryEntry, SolveReport
 from nlhelm.cli import (
+    _GEOMETRY_TAGS,
+    _HEADER,
+    MAGIC,
     PRESET_NAMES,
     RunConfig,
     build_problem,
@@ -238,6 +241,17 @@ class TestFieldFile:
         with pytest.raises(ValueError, match=re.escape(f"{path}: unknown geometry tag 7")):
             read_field(path)
 
+    @pytest.mark.parametrize("geometry,N,M", [("1d", 8, 3), ("cartesian", 8, 0)])
+    def test_columns_not_fitting_geometry_rejected(self, tmp_path, geometry, N, M):
+        # a header and body that agree with each other but not with the
+        # geometry's column count
+        path = tmp_path / "field.bin"
+        path.write_bytes(MAGIC + _HEADER.pack(_GEOMETRY_TAGS[geometry], N, M, 0.5, 0.25, 4.0)
+                         + np.ones((N + 7) * M, dtype="<c16").tobytes())
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: M = {M} does not fit a {geometry} field")):
+            read_field(path)
+
     def test_truncated_body_rejected(self, tmp_path):
         grid = build_grid_1d(5.0, 16)
         path = tmp_path / "field.bin"
@@ -356,6 +370,14 @@ class TestSolveCommand:
         path, _ = write_config(tmp_path, geometry="spherical")
         assert main(["solve", str(path)]) == 1
         assert "geometry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_born_needs_an_inner_iteration(self, tmp_path, capsys, count):
+        path, _ = write_config(tmp_path, solver="born", born_inner_iterations=count)
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            "error: born_inner_iterations must be at least 1\n"
+        assert not (tmp_path / "out").exists()
 
 
     @pytest.mark.parametrize("field,value", [

@@ -245,6 +245,15 @@ class TestRealSplit:
         back = from_real_split(v, E.shape)
         assert np.array_equal(back, E)
 
+    def test_round_trip_bit_exact_at_special_values(self):
+        v = np.array([1.0, np.inf, -0.0, 2.0, np.nan, -np.inf, 0.0, -0.0])
+        E = from_real_split(v, (4,))
+        assert E.tobytes() == v.tobytes()
+        assert to_real_split(E).tobytes() == v.tobytes()
+        # both are copies, not views of their input
+        assert not np.shares_memory(E, v)
+        assert not np.shares_memory(to_real_split(E), E)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=40))
     def test_property_round_trip(self, count):

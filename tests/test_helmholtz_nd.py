@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from nlhelm import (
     BeamSpec,
@@ -42,7 +43,7 @@ from nlhelm import (
     symmetric_closure,
     to_real_split,
 )
-from nlhelm._system import mirror_invariant
+from nlhelm._system import kerr_block_entries, mirror_invariant, real_split_matrix
 from nlhelm.helmholtz_nd import _material_rows
 
 K0 = 4.0
@@ -262,6 +263,24 @@ class TestKerrBlocks:
                 assert block[:, j] == pytest.approx(d, rel=1e-5, abs=1e-6)
 
 
+def four_term_jacobian(problem, e):
+    """The real-split Jacobian written out entry by entry: each entry g of C
+    times the Kerr block [[a, b], [b, c]] of its column's node, as four
+    real entries, added to real_split(A_lin). The reference for
+    KerrSystem.jacobian_real."""
+    coo = problem.C.tocoo()
+    i, j = coo.row.astype(np.int64), coo.col.astype(np.int64)
+    gr, gi = coo.data.real, coo.data.imag
+    a, b, c = kerr_block_entries(e[j], problem.sigma)
+    rows = np.concatenate([2 * i, 2 * i, 2 * i + 1, 2 * i + 1])
+    cols = np.concatenate([2 * j, 2 * j + 1, 2 * j, 2 * j + 1])
+    vals = np.concatenate([gr * a - gi * b, gr * b - gi * c,
+                           gi * a + gr * b, gi * b + gr * c])
+    n = 2 * problem.size
+    K = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return (real_split_matrix(problem.A_lin) + K).tocsr()
+
+
 class TestAssembledSystem:
     def test_real_split_and_complex_inputs_agree(self):
         grid = quiet_grid(4.0, 32, 4.0, 8, "cartesian")
@@ -314,6 +333,24 @@ class TestAssembledSystem:
               - assemble_residual(x - t * d, problem)) / (2 * t)
         err = np.linalg.norm(J @ d - fd) / np.linalg.norm(fd)
         assert err < 1e-6
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.0], ids=["cubic", "quintic"])
+    @pytest.mark.parametrize("dims", ["1d", "2d"])
+    def test_jacobian_equals_four_term_assembly(self, dims, sigma):
+        mat = MaterialStack(k0=K0, sigma=sigma, layers=(Layer(0.0, 4.0, 1.2, 0.0625),))
+        if dims == "1d":
+            problem = Problem1D(build_grid_1d(4.0, 64), mat, Incoming1D(EincL=1.0))
+        else:
+            grid = quiet_grid(4.0, 32, 6.0, 12, "cartesian")
+            beam = np.exp(-(grid.transverse_coords() / 1.5) ** 2).astype(complex)
+            problem = HelmholtzProblem(grid, mat, einc_left=beam)
+        E, report = newton_solve(problem)
+        assert report.converged
+        for e in (np.zeros(problem.size, dtype=complex), E.reshape(-1)):
+            J, ref = problem.jacobian_real(e), four_term_jacobian(problem, e)
+            assert np.array_equal(J.indptr, ref.indptr)
+            assert np.array_equal(J.indices, ref.indices)
+            assert J.data.tobytes() == ref.data.tobytes()
 
     def test_row_sparsity_pattern(self):
         # interior rows couple one longitudinal neighbor and two transverse

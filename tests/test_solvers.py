@@ -144,6 +144,9 @@ class TestConfig:
             NewtonConfig(omega=1.2)
         with pytest.raises(ValueError):
             NewtonConfig(max_iterations=0)
+        for count in (0, -3):
+            with pytest.raises(ValueError, match="born_inner_iterations must be at least 1"):
+                NewtonConfig(born_inner_iterations=count)
         with pytest.raises(ValueError):
             NewtonConfig(convergence_tol=0.0)
         with pytest.raises(ValueError):
@@ -495,19 +498,38 @@ class TestSeparableColdStart:
         assert report.mirror_folded and report.factorizations == 1
         assert len(seen) == 1 and cold == []
 
-    def test_inverse_missing_the_contract_falls_back_to_lu(self, monkeypatch):
-        E_ref, ref = newton_solve(soliton_slab())
+    @staticmethod
+    def spoil_inverse(monkeypatch, spoil):
+        """Make every linear_inverse spoil(inverse) in place of inverse."""
         real = HelmholtzProblem.linear_inverse
+        monkeypatch.setattr(HelmholtzProblem, "linear_inverse",
+                            lambda self: spoil(real(self)))
 
-        def spoiled(self):
-            inverse = real(self)
-            return lambda rhs: 1.001 * inverse(rhs)
-
-        monkeypatch.setattr(HelmholtzProblem, "linear_inverse", spoiled)
+    def test_inverse_near_the_contract_is_polished_without_an_lu(self, monkeypatch):
+        # 1.001 A_lin^{-1} b misses the contract; one GCROT iteration
+        # preconditioned by it meets it, as on any reuse step
+        E_ref, ref = newton_solve(soliton_slab())
+        self.spoil_inverse(monkeypatch, lambda inverse: lambda rhs: 1.001 * inverse(rhs))
         seen = spy_factorizations(monkeypatch)
-        cold = spy_separable_solves(monkeypatch)
+        _, first = newton_solve(soliton_slab(), NewtonConfig(max_iterations=1))
+        assert seen == [] and first.factorizations == 0 and first.krylov_iterations > 0
         E, report = newton_solve(soliton_slab())
-        assert len(cold) == 1  # tried at step 0, then never preconditions
+        assert report.converged and report.iterations == ref.iterations
+        assert report.forced_steps == ref.forced_steps
+        assert report.factorizations == ref.factorizations == len(seen)
+        assert np.abs(E - E_ref).max() <= 1e-12 * np.abs(E_ref).max()
+
+    def test_inverse_missing_the_contract_falls_back_to_lu(self, monkeypatch):
+        # an identity "inverse" leaves GCROT short of the contract after
+        # KRYLOV_RESTART iterations, so step 0 factors
+        E_ref, ref = newton_solve(soliton_slab())
+        self.spoil_inverse(monkeypatch, lambda inverse: lambda rhs: rhs.copy())
+        seen = spy_factorizations(monkeypatch)
+        _, first = newton_solve(soliton_slab(), NewtonConfig(max_iterations=1))
+        assert first.factorizations == len(seen) == 1
+        assert first.krylov_iterations == solvers.KRYLOV_RESTART
+        seen.clear()
+        E, report = newton_solve(soliton_slab())
         assert report.converged and report.iterations == ref.iterations
         assert report.forced_steps == ref.forced_steps
         assert report.factorizations == ref.factorizations + 1 == len(seen)
@@ -553,6 +575,12 @@ class TestForcing:
                 assert resid <= forcing * rhs_norm
             else:
                 assert resid <= bound
+
+    def test_first_step_is_exact(self, forced_slab):
+        # it has no step before it, so it meets the contract, never forced
+        _, _, solves = forced_slab
+        forcing, forced, resid, _, bound = solves[0]
+        assert forcing == 0.0 and not forced and resid <= bound
 
     def test_steps_after_the_first_full_step_are_exact(self, forced_slab):
         _, report, solves = forced_slab
