@@ -249,10 +249,10 @@ def _banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def nls_march(grid: GridMultiD, k0: float, eps: float, sigma: float,
-              initial: np.ndarray, dz: float,
-              z_end: float | None = None) -> NlsMarchResult:
+              initial: np.ndarray, dz: float) -> NlsMarchResult:
     """Crank-Nicolson march of the paraxial envelope equation
-    2 i k0 phi_z + Lap_perp phi + k0^2 eps |phi|^{2 sigma} phi = 0.
+    2 i k0 phi_z + Lap_perp phi + k0^2 eps |phi|^{2 sigma} phi = 0
+    from z = 0 to grid.Zmax.
 
     One predictor/corrector pass handles the nonlinear coefficient per step.
     A step is rejected (and dz halved) when the pass fails to settle; blow-up
@@ -261,7 +261,6 @@ def nls_march(grid: GridMultiD, k0: float, eps: float, sigma: float,
     """
     if dz <= 0:
         raise ValueError("dz must be positive")
-    z_end = grid.Zmax if z_end is None else float(z_end)
     phi = np.asarray(initial, dtype=np.complex128).reshape(-1).copy()
     if phi.shape[0] != grid.M:
         raise ValueError(f"initial profile has {phi.shape[0]} samples, grid has {grid.M}")
@@ -300,8 +299,8 @@ def nls_march(grid: GridMultiD, k0: float, eps: float, sigma: float,
             return None  # fixed-point pass did not settle
         return corr
 
-    while z < z_end * (1.0 - 1e-12):
-        step = min(dz_cur, z_end - z)
+    while z < grid.Zmax * (1.0 - 1e-12):
+        step = min(dz_cur, grid.Zmax - z)
         new = cn_step(phi, step)
         if new is None:
             dz_cur *= 0.5

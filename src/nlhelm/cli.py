@@ -306,6 +306,14 @@ def read_field(path) -> tuple[dict, np.ndarray]:
     # a 1d field is one column; a multi-D one has at least one
     if M < 1 or (geometry == "1d" and M != 1):
         raise ValueError(f"{path}: M = {M} does not fit a {geometry} field")
+    if N < 8:
+        raise ValueError(f"{path}: N = {N} is below the grid minimum of 8")
+    # a 1d field has no transverse spacing; it carries h_perp = 0.0
+    positive = {"h_z": h_z, "k0": k0} if geometry == "1d" else \
+        {"h_z": h_z, "h_perp": h_perp, "k0": k0}
+    for name, value in positive.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{path}: {name} = {value!r} must be positive and finite")
     header = {"geometry": geometry, "N": N, "M": M,
               "h_z": h_z, "h_perp": h_perp, "k0": k0}
     body = np.frombuffer(raw, dtype="<c16", offset=16 + _HEADER.size)
@@ -435,13 +443,13 @@ def run(config_path) -> int:
 
 def _cmd_preset(args) -> int:
     try:
-        cfg = preset(args.name, args.scale)
-    except ConfigError as exc:
+        text = preset(args.name, args.scale).to_json()
+        if args.out:
+            _atomic_write(Path(args.out), text)
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = cfg.to_json()
     if args.out:
-        _atomic_write(Path(args.out), text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

@@ -247,27 +247,28 @@ def classify_nodes(grid, mat: MaterialStack) -> list[NodeClass]:
     return out
 
 
-def sample_material(mat: MaterialStack, grid, n: int, side: str) -> tuple[float, float]:
-    """(nu, eps) at longitudinal node n, taking the requested one-sided limit.
+def cell_material(mat: MaterialStack, grid, cells):
+    """(nu, eps) of the cells [n, n+1] for n in cells, an int or an int
+    array: the layer whose node range holds the cell, the exterior (1, 0)
+    outside the slab. The one lookup of the material a node sees."""
+    nu = np.array([EXTERIOR_NU, *(lay.nu for lay in mat.layers), EXTERIOR_NU])
+    eps = np.array([EXTERIOR_EPS, *(lay.eps for lay in mat.layers), EXTERIOR_EPS])
+    layer = np.searchsorted(interface_nodes(grid, mat), cells, side="right")
+    return nu[layer], eps[layer]
 
-    side is "left" or "right"; away from interfaces both sides agree. The
-    exterior is (1, 0).
+
+def sample_material(mat: MaterialStack, grid, n: int, side: str) -> tuple[float, float]:
+    """(nu, eps) at longitudinal node n, taking the requested one-sided limit:
+    the cell [n-1, n] on the left, [n, n+1] on the right.
+
+    Away from interfaces both sides agree. The exterior is (1, 0).
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if n < -3 or n > grid.N + 3:
         raise ValueError(f"node {n} outside stored range")
-    nodes = interface_nodes(grid, mat)
-    if n < nodes[0] or (n == nodes[0] and side == "left"):
-        return (EXTERIOR_NU, EXTERIOR_EPS)
-    if n > nodes[-1] or (n == nodes[-1] and side == "right"):
-        return (EXTERIOR_NU, EXTERIOR_EPS)
-    # find the layer whose closed node range contains n with the right bias
-    for i, lay in enumerate(mat.layers):
-        lo, hi = nodes[i], nodes[i + 1]
-        if (lo < n < hi) or (n == lo and side == "right") or (n == hi and side == "left"):
-            return (lay.nu, lay.eps)
-    raise AssertionError("unreachable: node not covered by any layer")
+    nu, eps = cell_material(mat, grid, n - (side == "left"))
+    return float(nu), float(eps)
 
 
 # --- field containers -------------------------------------------------------

@@ -47,12 +47,10 @@ import scipy.sparse as sp
 from . import solvers
 from ._system import KerrSystem, kerr_block_entries, mirror_invariant
 from .fields import (
-    EXTERIOR_EPS,
-    EXTERIOR_NU,
     GridMultiD,
     MaterialStack,
+    cell_material,
     from_real_split,
-    interface_nodes,
     sample_material,
     to_real_split,
 )
@@ -95,13 +93,9 @@ def _material_rows(grid: GridMultiD, mat: MaterialStack):
     the cell to its right. Matched partitions (no jump in either coefficient)
     take the compact row, which their smoothness makes fourth-order accurate.
     """
-    nodes = interface_nodes(grid, mat)
-    nu = np.array([EXTERIOR_NU, *(lay.nu for lay in mat.layers), EXTERIOR_NU])
-    eps = np.array([EXTERIOR_EPS, *(lay.eps for lay in mat.layers), EXTERIOR_EPS])
-    # layer (0 and -1: exterior) of each cell [n, n+1], n = -3 .. N+2; cells
-    # on either side of a node differ only at partition points
-    cell = np.searchsorted(nodes, np.arange(-3, grid.N + 3), side="right")
-    nu, eps = nu[cell], eps[cell]
+    # each cell [n, n+1], n = -3 .. N+2; cells on either side of a node
+    # differ only at partition points
+    nu, eps = cell_material(mat, grid, np.arange(-3, grid.N + 3))
     interface = (nu[:-1] != nu[1:]) | (eps[:-1] != eps[1:])
     W = nu * nu
     return (np.where(interface, 0.5 * (W[:-1] + W[1:]), W[1:]),

@@ -34,9 +34,8 @@ contract, by a fresh LU if GCROT misses it too; the same refactor rule
 retires it.
 
 Inexact steps: while Newton's steps are damped, a Krylov solve on a live
-factor only has to meet ||J d + F||_inf <= eta ||F||_inf, eta the
-Eisenstat-Walker forcing term (capped at FORCING_MAX); such a step is
-"forced". Every other solve (the first step, each step after a full one and
+factor only has to meet ||J d + F||_inf <= FORCING ||F||_inf; such a step
+is "forced". Every other solve (the first step, each step after a full one and
 every LU) meets the residual contract of sparse_lu_solve, so the full-step
 tail is exact Newton, and convergence is declared only on an exact step.
 
@@ -138,9 +137,8 @@ REFACTOR_ITERATIONS = 15
 # 2-norm (which bounds the inf-norm), so accepted steps track the direct ones
 # to ~1e-12
 KRYLOV_TARGET = 1e-2
-# cap (and first value) of the Eisenstat-Walker forcing term of damped Newton
-# steps; 0.0 solves every step to the contract
-FORCING_MAX = 0.1
+# forcing term of damped Newton steps; 0.0 solves every step to the contract
+FORCING = 0.1
 
 
 def _contract_bound(J_norm: float, x: np.ndarray, rhs: np.ndarray) -> float:
@@ -179,17 +177,6 @@ def sparse_lu_solve(J: sp.spmatrix, rhs: np.ndarray, *, return_factor: bool = Fa
     if violation is not None:
         raise SingularMatrix(f"sparse LU {violation}")
     return (x, lu) if return_factor else x
-
-
-def _forcing_term(eta: float, ratio: float) -> float:
-    """Eisenstat-Walker choice 2 (gamma 0.9, alpha 2) from the previous term
-    eta and ratio = ||F_k||_inf / ||F_k-1||_inf, capped at FORCING_MAX. Their
-    safeguard keeps eta from dropping faster than 0.9 eta^2; it acts only
-    above eta = 1/3, so not under a cap of 0.1."""
-    eta_next, safeguard = 0.9 * ratio ** 2, 0.9 * eta ** 2
-    if safeguard > 0.1:
-        eta_next = max(eta_next, safeguard)
-    return min(FORCING_MAX, eta_next)
 
 
 def _krylov_solve(J: sp.spmatrix, rhs: np.ndarray, lu, forcing: float = 0.0,
@@ -358,12 +345,11 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
 
     Inexact steps: when the previous step was damped and a factor is live,
     the Krylov solve is forced: it is accepted once finite with
-    ||J delta + F||_inf <= eta_k ||F||_inf, where eta_0 = FORCING_MAX and
-    eta_k follows Eisenstat-Walker choice 2 on ||F_k||_inf / ||F_k-1||_inf
-    (see _forcing_term). Every other step (the first, which has no previous
-    step, included), and every step solved by a fresh LU, meets the
-    residual contract of sparse_lu_solve; convergence is declared only on
-    such an exact step. SolveReport.forced_steps counts the forced ones.
+    ||J delta + F||_inf <= FORCING ||F||_inf. Every other step (the first,
+    which has no previous step, included), and every step solved by a fresh
+    LU, meets the residual contract of sparse_lu_solve; convergence is
+    declared only on such an exact step. SolveReport.forced_steps counts the
+    forced ones.
 
     A linear problem (no Kerr term) is solved by freezing_solve, whose one
     exact solve is the first full Newton step; relaxing it would only add
@@ -380,18 +366,15 @@ def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
     history: list[HistoryEntry] = []
     reason = "MaxIter"
     converged = False
-    # damped: whether the previous step was; the first step is exact
-    forcing, damped = FORCING_MAX, False
+    damped = False  # whether the previous step was; the first step is exact
     for _ in range(config.max_iterations):
         F = system.residual_complex(e)
         resid_norm = float(np.abs(F).max())
         if not np.isfinite(resid_norm):
             reason = "NaN"
             break
-        if history:
-            forcing = _forcing_term(forcing, resid_norm / history[-1].residual_norm)
         d, failure = linear(system.jacobian_real(e), -to_real_split(F),
-                            forcing if damped else 0.0)
+                            FORCING if damped else 0.0)
         if failure is not None:
             reason = failure
             break

@@ -186,6 +186,13 @@ class TestConfigParsing:
         assert resolve_output_dir(cfg) == tmp_path / "explicit"
 
 
+def write_header(path, geometry, N, M, h_z, h_perp, k0):
+    """A hand-written field file whose body has the node count its header
+    declares."""
+    path.write_bytes(MAGIC + _HEADER.pack(_GEOMETRY_TAGS[geometry], N, M, h_z, h_perp, k0)
+                     + np.ones((N + 7) * M, dtype="<c16").tobytes())
+
+
 class TestFieldFile:
     def test_round_trip_1d_bit_exact(self, tmp_path):
         grid = build_grid_1d(5.0, 16)
@@ -246,11 +253,36 @@ class TestFieldFile:
         # a header and body that agree with each other but not with the
         # geometry's column count
         path = tmp_path / "field.bin"
-        path.write_bytes(MAGIC + _HEADER.pack(_GEOMETRY_TAGS[geometry], N, M, 0.5, 0.25, 4.0)
-                         + np.ones((N + 7) * M, dtype="<c16").tobytes())
+        write_header(path, geometry, N, M, 0.5, 0.25, 4.0)
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: M = {M} does not fit a {geometry} field")):
             read_field(path)
+
+    @pytest.mark.parametrize("geometry,N,h_z,h_perp,k0,named", [
+        ("1d", 0, 0.5, 0.0, 4.0, "N = 0 is below the grid minimum of 8"),
+        ("cartesian", 7, 0.5, 0.25, 4.0, "N = 7 is below the grid minimum of 8"),
+        ("1d", 8, 0.0, 0.0, 4.0, "h_z = 0.0 must be positive and finite"),
+        ("1d", 8, math.inf, 0.0, 4.0, "h_z = inf must be positive and finite"),
+        ("1d", 8, 0.5, 0.0, -4.0, "k0 = -4.0 must be positive and finite"),
+        ("cylindrical", 8, 0.5, 0.25, math.nan, "k0 = nan must be positive and finite"),
+        ("cartesian", 8, 0.5, 0.0, 4.0, "h_perp = 0.0 must be positive and finite"),
+        ("cylindrical", 8, 0.5, -0.25, 4.0, "h_perp = -0.25 must be positive and finite"),
+        ("cartesian", 8, 0.5, math.nan, 4.0, "h_perp = nan must be positive and finite"),
+    ])
+    def test_header_no_grid_can_write_rejected(self, tmp_path, geometry, N, h_z,
+                                               h_perp, k0, named):
+        path = tmp_path / "field.bin"
+        write_header(path, geometry, N, 1 if geometry == "1d" else 3, h_z, h_perp, k0)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {named}")):
+            read_field(path)
+
+    def test_hand_written_valid_header_accepted(self, tmp_path):
+        # the smallest grid, 1d with the h_perp = 0.0 that write_field stores
+        path = tmp_path / "field.bin"
+        write_header(path, "1d", 8, 1, 0.5, 0.0, 4.0)
+        header, E = read_field(path)
+        assert (header["N"], header["h_perp"]) == (8, 0.0)
+        assert E.shape == (15,)
 
     def test_truncated_body_rejected(self, tmp_path):
         grid = build_grid_1d(5.0, 16)
@@ -456,6 +488,15 @@ class TestPresetCommand:
     def test_unknown_name_exits_one(self, capsys):
         assert main(["preset", "mystery"]) == 1
         assert "unknown preset" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        # the --out directory is a regular file, so it cannot be created
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert main(["preset", "soliton-2d-desk", "--out", str(blocker / "x.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert blocker.is_file()
 
 
 class TestConvergeCommand:

@@ -224,6 +224,35 @@ class TestSampleMaterial:
         with pytest.raises(ValueError):
             sample_material(mat, grid, 0, "above")
 
+    def test_matches_layer_walk_reference(self):
+        # the per-layer walk sample_material used before the cell lookup,
+        # on random stacks with repeated materials (matched partitions)
+        def layer_walk(mat, grid, n, side):
+            nodes = interface_nodes(grid, mat)
+            if n < nodes[0] or (n == nodes[0] and side == "left"):
+                return (1.0, 0.0)
+            if n > nodes[-1] or (n == nodes[-1] and side == "right"):
+                return (1.0, 0.0)
+            for i, lay in enumerate(mat.layers):
+                lo, hi = nodes[i], nodes[i + 1]
+                if (lo < n < hi) or (n == lo and side == "right") \
+                        or (n == hi and side == "left"):
+                    return (lay.nu, lay.eps)
+
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            N = int(rng.integers(8, 40))
+            k = int(rng.integers(1, 6))
+            edges = [0, *sorted(rng.choice(np.arange(1, N), k - 1, replace=False)), N]
+            mat = MaterialStack(4.0, 1.0, tuple(
+                Layer(edges[i] * 0.25, edges[i + 1] * 0.25, float(rng.choice([1.0, 1.5])),
+                      float(rng.choice([0.0, 0.1]))) for i in range(k)))
+            grid = build_grid_1d(N * 0.25, N)
+            for n in range(-3, N + 4):
+                for side in ("left", "right"):
+                    want = layer_walk(mat, grid, n, side)
+                    assert sample_material(mat, grid, n, side) == want
+
 
 class TestRealSplit:
     def test_round_trip_lossless_1d(self):

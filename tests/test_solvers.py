@@ -314,19 +314,9 @@ class TestKrylovSolve:
                       rng.normal(size=n - 1)], offsets=[-1, 0, 1], format="csr")
         lu = spla.splu(sp.eye(n, format="csc"))
         x, iterations = solvers._krylov_solve(J, rng.normal(size=n), lu,
-                                              solvers.FORCING_MAX)
+                                              solvers.FORCING)
         assert x is None
         assert iterations == solvers.KRYLOV_RESTART
-
-    def test_forcing_term(self, monkeypatch):
-        # Eisenstat-Walker choice 2: 0.9 (||F_k|| / ||F_k-1||)^2, capped
-        assert solvers._forcing_term(0.1, 0.1) == pytest.approx(0.009)
-        assert solvers._forcing_term(0.1, 0.5) == solvers.FORCING_MAX
-        assert solvers._forcing_term(1e-3, 0.0) == 0.0
-        # the safeguard 0.9 eta^2 acts once that exceeds 0.1
-        monkeypatch.setattr(solvers, "FORCING_MAX", 0.9)
-        assert solvers._forcing_term(0.5, 0.1) == pytest.approx(0.225)
-        assert solvers._forcing_term(0.3, 0.1) == pytest.approx(0.009)
 
 
 def assert_quadratic_tail(report):
@@ -446,7 +436,7 @@ def assert_matches_direct(E, report, E_direct, direct):
 class TestFactorReuse:
     # these compare exact steps one by one, so forcing is off
     def test_matches_direct_path_with_fewer_factorizations(self, slab_2d, monkeypatch):
-        monkeypatch.setattr(solvers, "FORCING_MAX", 0.0)
+        monkeypatch.setattr(solvers, "FORCING", 0.0)
         problem, E_direct, direct = slab_2d
         assert 2 * problem.size >= solvers.REUSE_MIN_UNKNOWNS
         cold = spy_separable_solves(monkeypatch)
@@ -468,7 +458,7 @@ class TestFactorReuse:
             return x0.copy(), 1
 
         monkeypatch.setattr(spla, "gcrotmk", stalled_gcrotmk)
-        monkeypatch.setattr(solvers, "FORCING_MAX", 0.0)
+        monkeypatch.setattr(solvers, "FORCING", 0.0)
         E, report = newton_solve(problem)
         assert report.divergence_reason is None
         assert_matches_direct(E, report, E_direct, direct)
@@ -571,7 +561,7 @@ class TestForcing:
         _, _, solves = forced_slab
         for forcing, forced, resid, rhs_norm, bound in solves:
             if forced:
-                assert 0.0 < forcing <= solvers.FORCING_MAX
+                assert forcing == solvers.FORCING
                 assert resid <= forcing * rhs_norm
             else:
                 assert resid <= bound
@@ -598,7 +588,7 @@ class TestForcing:
         assert report.forced_steps > 0 and ref.forced_steps > 0
 
     def test_forcing_off_forces_nothing(self, slab_2d, monkeypatch):
-        monkeypatch.setattr(solvers, "FORCING_MAX", 0.0)
+        monkeypatch.setattr(solvers, "FORCING", 0.0)
         problem, E_direct, _ = slab_2d
         E, report = newton_solve(problem)
         assert report.converged and report.forced_steps == 0
@@ -712,7 +702,7 @@ def mirror_pair():
     """Newton on the 2D soliton slab, folded and on the full-size reference,
     with exact steps only (forcing off)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "FORCING_MAX", 0.0)
+        mp.setattr(solvers, "FORCING", 0.0)
         return assert_matches_unfolded(newton_solve)
 
 
