@@ -1,19 +1,12 @@
-"""Internal: assembled-system container of the discrete problems.
-
-`helmholtz_nd.HelmholtzProblem` assembles every geometry, the 1D slab
-included (`helmholtz_1d.Problem1D` wraps its single-column case).
+"""Internal: the algebra of an assembled Kerr system.
 
 A discrete problem is F(E) = A_lin E + C P(E) - b, with E the complex field
 flattened n-major, P(E) = |E|^{2 sigma} E applied pointwise, A_lin the
 field-independent part (difference operators, boundary closures, material
-terms on E) and C the coupling coefficients multiplying P. The solvers in
-`solvers` only see this interface.
-
-A system may carry a mirror: a fixed-point-free involution of the nodes under
-which A_lin, C and b are invariant (to CONTRACT_SCALE). Such a system is a
-section that is its half mirrored, and its half_section() is that half as a
-problem of its own, closed by a mirror closure on the symmetry plane. For a
-symmetric start the solvers iterate on the half (see mirror_fold).
+terms on E) and C the coupling coefficients multiplying P. KerrSystem holds
+(A_lin, C, b, sigma) and evaluates the residual, frozen operators and the
+exact real-split Jacobian; `helmholtz_nd.HelmholtzProblem` assembles every
+geometry, the 1D slab included, on top of it.
 """
 
 from __future__ import annotations
@@ -23,20 +16,7 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["KerrSystem", "real_split_matrix", "kerr_block_entries",
-           "mirror_invariant", "mirror_fold"]
-
-# relative scale of the residual contract of solvers.sparse_lu_solve; a
-# system or field invariant under a mirror to this scale counts as symmetric
-CONTRACT_SCALE = 1e-10
-
-
-def mirror_invariant(x, mirror: np.ndarray) -> bool:
-    """Whether a vector, or a dense or sparse square matrix, is invariant
-    under the index permutation `mirror`: the largest entrywise change is
-    within CONTRACT_SCALE of the largest |entry|."""
-    y = x[mirror][:, mirror] if x.ndim == 2 else x[mirror]
-    return abs(y - x).max() <= CONTRACT_SCALE * abs(x).max()
+__all__ = ["KerrSystem", "real_split_matrix", "kerr_block_entries"]
 
 
 def real_split_matrix(A: sp.spmatrix) -> sp.csr_matrix:
@@ -101,8 +81,6 @@ class KerrSystem:
         # real_split_matrix of A_lin and C, built with the first Jacobian
         self._A_real: sp.csr_matrix | None = None
         self._C_real: sp.csr_matrix | None = None
-        # node involution the system is invariant under, or None
-        self.mirror: np.ndarray | None = None
 
     @property
     def has_kerr(self) -> bool:
@@ -148,34 +126,3 @@ class KerrSystem:
         # canonical CSR
         K.sort_indices()
         return (self._A_real + K).tocsr()
-
-    # Born's inner sweeps and Newton's cold start (through linear_inverse)
-    # need a fast application of the uniform linear operator's inverse;
-    # subclasses provide it.
-    def vacuum_operator(self) -> sp.csr_matrix:
-        raise NotImplementedError
-
-    def vacuum_solve(self, rhs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def linear_inverse(self):
-        """A function applying A_lin^{-1} to a complex vector without a
-        sparse factor, or None where the system has none."""
-        return None
-
-
-def mirror_fold(system: KerrSystem, e: np.ndarray):
-    """(half, e[H], gather) for fields symmetric under the system's mirror,
-    or None when it has none or the start e is not symmetric under it.
-
-    half is system.half_section(), whose nodes are the orbit representatives
-    H in order; a half field x unfolds as x[gather].
-    """
-    mirror = system.mirror
-    if mirror is None or not mirror_invariant(e, mirror):
-        return None
-    n = mirror.size
-    H = np.flatnonzero(np.arange(n) < mirror)
-    gather = np.empty(n, dtype=np.int64)
-    gather[H] = gather[mirror[H]] = np.arange(H.size)
-    return system.half_section(), e[H], gather

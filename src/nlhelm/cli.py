@@ -309,6 +309,8 @@ def read_field(path) -> tuple[dict, np.ndarray]:
     if N < 8:
         raise ValueError(f"{path}: N = {N} is below the grid minimum of 8")
     # a 1d field has no transverse spacing; it carries h_perp = 0.0
+    if geometry == "1d" and h_perp != 0.0:
+        raise ValueError(f"{path}: h_perp = {h_perp!r} must be 0.0 for a 1d field")
     positive = {"h_z": h_z, "k0": k0} if geometry == "1d" else \
         {"h_z": h_z, "h_perp": h_perp, "k0": k0}
     for name, value in positive.items():
@@ -421,19 +423,18 @@ def preset(name: str, scale: str | None = None) -> RunConfig:
 
 # --- subcommand drivers ---------------------------------------------------------
 
+# each subcommand returns its exit code and raises on error; main reports the
+# error and exits 1
+
 def run(config_path) -> int:
     """Solve one configuration and write its outputs; returns the exit code."""
-    try:
-        cfg = load_config(config_path)
-        problem, grid, mat, solver_cfg = build_problem(cfg, str(config_path))
-        t0 = time.perf_counter()
-        E, report = solvers.solve(problem, config=solver_cfg, method=cfg.solver)
-        runtime = time.perf_counter() - t0
-        out_dir = resolve_output_dir(cfg)
-        write_outputs(out_dir, cfg, E, grid, mat, report, runtime)
-    except (NlhError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_config(config_path)
+    problem, grid, mat, solver_cfg = build_problem(cfg, str(config_path))
+    t0 = time.perf_counter()
+    E, report = solvers.solve(problem, config=solver_cfg, method=cfg.solver)
+    runtime = time.perf_counter() - t0
+    out_dir = resolve_output_dir(cfg)
+    write_outputs(out_dir, cfg, E, grid, mat, report, runtime)
     status = "converged" if report.converged else \
         f"did not converge ({report.divergence_reason})"
     print(f"{cfg.name}: {status} in {report.iterations} iterations, "
@@ -442,14 +443,9 @@ def run(config_path) -> int:
 
 
 def _cmd_preset(args) -> int:
-    try:
-        text = preset(args.name, args.scale).to_json()
-        if args.out:
-            _atomic_write(Path(args.out), text)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    text = preset(args.name, args.scale).to_json()
     if args.out:
+        _atomic_write(Path(args.out), text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -468,75 +464,64 @@ def _refined(cfg: RunConfig, factor: int) -> RunConfig:
 def converge(config_path, levels: int) -> int:
     """Solve a factor-2 nested family (coarsest = the config) and report the
     observed convergence rates."""
-    try:
-        if levels < 2:
-            raise ConfigError("--levels must be at least 2")
-        base = load_config(config_path)
-        fields, grids = [], []
-        all_converged = True
-        for i in range(levels):
-            cfg_i = _refined(base, 2 ** i)
-            problem, grid, mat, solver_cfg = build_problem(cfg_i, str(config_path))
-            if fields:  # warm start from the previous level
-                guess = interpolate_field(fields[-1], grids[-1], grid)
-                solver_cfg = dataclasses.replace(solver_cfg, initial_guess=guess)
-            E, report = solvers.solve(problem, config=solver_cfg, method=cfg_i.solver)
-            all_converged &= report.converged
-            print(f"level {i}: N={cfg_i.N} M={cfg_i.M} converged={report.converged} "
-                  f"iterations={report.iterations}")
-            fields.append(E)
-            grids.append(grid)
-        table = grid_convergence_study(fields, grids)
-        out_dir = resolve_output_dir(base)
-        _atomic_write(out_dir / "converge.csv",
-                      _csv(table.rows(), "N,M,diff_to_next,rate"))
-        for (N, M, diff, rate) in table.rows():
-            print(f"N={N} M={M} diff={diff} rate={rate}")
-    except (NlhError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if levels < 2:
+        raise ConfigError("--levels must be at least 2")
+    base = load_config(config_path)
+    fields, grids = [], []
+    all_converged = True
+    for i in range(levels):
+        cfg_i = _refined(base, 2 ** i)
+        problem, grid, mat, solver_cfg = build_problem(cfg_i, str(config_path))
+        if fields:  # warm start from the previous level
+            guess = interpolate_field(fields[-1], grids[-1], grid)
+            solver_cfg = dataclasses.replace(solver_cfg, initial_guess=guess)
+        E, report = solvers.solve(problem, config=solver_cfg, method=cfg_i.solver)
+        all_converged &= report.converged
+        print(f"level {i}: N={cfg_i.N} M={cfg_i.M} converged={report.converged} "
+              f"iterations={report.iterations}")
+        fields.append(E)
+        grids.append(grid)
+    table = grid_convergence_study(fields, grids)
+    out_dir = resolve_output_dir(base)
+    _atomic_write(out_dir / "converge.csv", _csv(table.rows(), "N,M,diff_to_next,rate"))
+    for (N, M, diff, rate) in table.rows():
+        print(f"N={N} M={M} diff={diff} rate={rate}")
     return 0 if all_converged else 2
 
 
 def compare_nls(config_path) -> int:
     """Solve the full model, march the paraxial reference from the same
     (unadjusted) input beam, and write the on-axis comparison."""
-    try:
-        cfg = load_config(config_path)
-        if cfg.geometry == "1d" or cfg.beam_left is None:
-            raise ConfigError(
-                "compare-nls needs a multi-D config with a left beam")
-        problem, grid, mat, solver_cfg = build_problem(cfg, str(config_path))
-        E, report = solvers.solve(problem, config=solver_cfg, method=cfg.solver)
-        raw_beam = dict(cfg.beam_left)
-        raw_beam["adjust"] = False
-        nls_initial = make_incoming(_beam_spec(raw_beam, "left", str(config_path)),
-                                    grid, mat)
-        first_layer = mat.layers[0]
-        result = nls_march(grid, mat.k0, first_layer.eps, mat.sigma,
-                           nls_initial, dz=grid.h_z)
-        axis = on_axis_index(grid)
-        z_nodes = np.arange(0, grid.N + 1) * grid.h_z
-        nlh_axis = np.abs(E[np.arange(0, grid.N + 1) + 3, axis])
-        nls_axis = np.interp(z_nodes, result.z, np.abs(result.on_axis))
-        if result.blew_up:
-            nls_axis[z_nodes > result.z_star] = np.nan
-        out_dir = resolve_output_dir(cfg)
-        _atomic_write(out_dir / "compare_nls.csv",
-                      _csv(zip(z_nodes, nlh_axis, nls_axis),
-                           "z,nlh_on_axis_abs,nls_on_axis_abs"))
-        _atomic_write(out_dir / "nls_report.json", json.dumps({
-            "blew_up": result.blew_up,
-            "z_star": result.z_star,
-            "nlh_converged": report.converged,
-            "nlh_max_amplitude": report.max_amplitude,
-        }, indent=2) + "\n")
-        msg = (f"paraxial reference blew up at z = {result.z_star:.4g}"
-               if result.blew_up else "paraxial reference stayed bounded")
-        print(f"{cfg.name}: {msg}; outputs in {out_dir}")
-    except (NlhError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_config(config_path)
+    if cfg.geometry == "1d" or cfg.beam_left is None:
+        raise ConfigError("compare-nls needs a multi-D config with a left beam")
+    problem, grid, mat, solver_cfg = build_problem(cfg, str(config_path))
+    E, report = solvers.solve(problem, config=solver_cfg, method=cfg.solver)
+    raw_beam = dict(cfg.beam_left)
+    raw_beam["adjust"] = False
+    nls_initial = make_incoming(_beam_spec(raw_beam, "left", str(config_path)), grid, mat)
+    first_layer = mat.layers[0]
+    result = nls_march(grid, mat.k0, first_layer.eps, mat.sigma,
+                       nls_initial, dz=grid.h_z)
+    axis = on_axis_index(grid)
+    z_nodes = np.arange(0, grid.N + 1) * grid.h_z
+    nlh_axis = np.abs(E[np.arange(0, grid.N + 1) + 3, axis])
+    nls_axis = np.interp(z_nodes, result.z, np.abs(result.on_axis))
+    if result.blew_up:
+        nls_axis[z_nodes > result.z_star] = np.nan
+    out_dir = resolve_output_dir(cfg)
+    _atomic_write(out_dir / "compare_nls.csv",
+                  _csv(zip(z_nodes, nlh_axis, nls_axis),
+                       "z,nlh_on_axis_abs,nls_on_axis_abs"))
+    _atomic_write(out_dir / "nls_report.json", json.dumps({
+        "blew_up": result.blew_up,
+        "z_star": result.z_star,
+        "nlh_converged": report.converged,
+        "nlh_max_amplitude": report.max_amplitude,
+    }, indent=2) + "\n")
+    msg = (f"paraxial reference blew up at z = {result.z_star:.4g}"
+           if result.blew_up else "paraxial reference stayed bounded")
+    print(f"{cfg.name}: {msg}; outputs in {out_dir}")
     return 0 if report.converged else 2
 
 
@@ -549,30 +534,29 @@ def main(argv=None) -> int:
 
     p_solve = sub.add_parser("solve", help="solve a run configuration")
     p_solve.add_argument("config")
+    p_solve.set_defaults(func=lambda args: run(args.config))
 
     p_preset = sub.add_parser("preset", help="emit a canned configuration")
     p_preset.add_argument("name")
     p_preset.add_argument("--scale", choices=["paper", "desk"], default=None)
     p_preset.add_argument("--out", default=None)
+    p_preset.set_defaults(func=_cmd_preset)
 
     p_conv = sub.add_parser("converge", help="nested-grid convergence study")
     p_conv.add_argument("config")
     p_conv.add_argument("--levels", type=int, default=3)
+    p_conv.set_defaults(func=lambda args: converge(args.config, args.levels))
 
     p_cmp = sub.add_parser("compare-nls", help="solve and march the paraxial reference")
     p_cmp.add_argument("config")
+    p_cmp.set_defaults(func=lambda args: compare_nls(args.config))
 
     args = parser.parse_args(argv)
-    if args.command == "solve":
-        return run(args.config)
-    if args.command == "preset":
-        return _cmd_preset(args)
-    if args.command == "converge":
-        return converge(args.config, args.levels)
-    if args.command == "compare-nls":
-        return compare_nls(args.config)
-    parser.error(f"unknown command {args.command!r}")
-    return 1
+    try:
+        return args.func(args)
+    except (NlhError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ so no node sits on the cylindrical axis.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -132,12 +133,13 @@ class MaterialStack:
     layers: tuple[Layer, ...]
 
     def __post_init__(self):
-        if self.k0 <= 0:
-            raise InvalidGrid(f"k0 must be positive, got {self.k0}")
-        if self.sigma <= 0:
-            raise InvalidGrid(f"sigma must be positive, got {self.sigma}")
+        _check_positive_finite(k0=self.k0, sigma=self.sigma)
         if not self.layers:
             raise InvalidGrid("material stack needs at least one layer")
+        for i, lay in enumerate(self.layers):
+            for name, value in vars(lay).items():
+                if not math.isfinite(value):
+                    raise InvalidGrid(f"layers[{i}].{name} must be finite, got {value}")
         if self.layers[0].z_from != 0.0:
             raise InvalidGrid("first layer must start at z=0")
         for a, b in zip(self.layers, self.layers[1:]):
@@ -162,6 +164,12 @@ class MaterialStack:
         return all(lay.eps == 0.0 for lay in self.layers)
 
 
+def _check_positive_finite(**values):
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidGrid(f"{name} must be positive and finite, got {value}")
+
+
 def homogeneous_stack(k0: float, Zmax: float, nu: float = 1.0, eps: float = 0.0,
                       sigma: float = 1.0) -> MaterialStack:
     """Single-layer stack covering [0, Zmax]."""
@@ -173,8 +181,7 @@ def build_grid_1d(Zmax: float, N: int) -> Grid1D:
     boundary stencils need 7 nodes on the interior side)."""
     if N < 8:
         raise InvalidGrid(f"N must be at least 8, got {N}")
-    if not Zmax > 0:
-        raise InvalidGrid(f"Zmax must be positive, got {Zmax}")
+    _check_positive_finite(Zmax=Zmax)
     return Grid1D(N=int(N), Zmax=float(Zmax), h=float(Zmax) / int(N))
 
 
@@ -188,8 +195,7 @@ def build_grid_multi(Zmax: float, N: int, extent: float, M: int,
         raise InvalidGrid(f"N must be at least 8, got {N}")
     if M < 1:
         raise InvalidGrid(f"M must be at least 1, got {M}")
-    if not (Zmax > 0 and extent > 0):
-        raise InvalidGrid("domain extents must be positive")
+    _check_positive_finite(Zmax=Zmax, extent=extent)
     h_z = float(Zmax) / int(N)
     width = 2.0 * extent if geometry == "cartesian" else float(extent)
     h_perp = width / int(M)

@@ -1,12 +1,13 @@
 """One-dimensional nonlinear Helmholtz boundary-value problem.
 
 The slab is the single-column case of the multi-dimensional scheme:
-`Problem1D` assembles one transverse node with mirror closures on both
-walls through `helmholtz_nd`, which gives the compact 4th-order rows in the
-layers and exterior, the 7-node one-sided rows at material interfaces, and
-the two-way boundary rows that inject the prescribed incoming waves while
-passing outgoing waves through the discrete dispersion root q. This module
-adds the 1D front end, the closure data for R/T extraction, and an exact
+`Problem1D` is a `helmholtz_nd.HelmholtzProblem` on one transverse node
+with mirror closures on both walls. It has that problem's compact 4th-order
+rows in the layers and exterior, 7-node one-sided rows at material
+interfaces and two-way boundary rows, which inject the prescribed incoming
+waves while passing outgoing waves through the discrete dispersion root q;
+and its vacuum solve and separable inverse of A_lin. This module adds the
+1D front end, the closure data for R/T extraction, and an exact
 transfer-matrix oracle for linear stacks.
 """
 
@@ -16,10 +17,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import solvers
-from ._system import KerrSystem
 from .errors import OracleRequiresLinear
 from .fields import Grid1D, GridMultiD, MaterialStack
 from .helmholtz_nd import HelmholtzProblem
@@ -71,29 +70,26 @@ def characteristic_root(k0: float, h: float) -> Abc1DClosure:
     return Abc1DClosure(q=root_from_ksq(k_sq, h))
 
 
-class Problem1D(KerrSystem):
-    """1D system in the solver interface: the single-column multi-D problem.
-
-    The column has a unit transverse step, so the mirrored transverse
-    stencils cancel to rounding level; the field keeps the 1D shape (N+7,).
+class Problem1D(HelmholtzProblem):
+    """The slab as the single-column multi-D problem: one transverse node
+    with mirror closures on both walls and a unit transverse step, so the
+    mirrored transverse stencils cancel to rounding level. The field keeps
+    the 1D shape (N+7,); grid is the single column the problem is assembled
+    on, with the N, Zmax, h and node indexing of the Grid1D it was built from.
     """
 
     def __init__(self, grid: Grid1D, mat: MaterialStack, inc: Incoming1D):
         column = GridMultiD(N=grid.N, Zmax=grid.Zmax, h_z=grid.h, M=1,
                             extent=0.5, h_perp=1.0, geometry="cartesian")
-        self._column = HelmholtzProblem(
-            column, mat, einc_left=np.array([inc.EincL]),
-            einc_right=np.array([inc.EincR]),
-            bottom=symmetric_closure(), top=symmetric_closure())
-        super().__init__(self._column.A_lin, self._column.C, self._column.b,
-                         mat.sigma, field_shape=(grid.num_nodes,))
-        self.grid = grid
+        super().__init__(column, mat, einc_left=np.array([inc.EincL]),
+                         einc_right=np.array([inc.EincR]),
+                         bottom=symmetric_closure(), top=symmetric_closure())
+        self.field_shape = (grid.num_nodes,)
 
-    def vacuum_operator(self) -> sp.csr_matrix:
-        return self._column.vacuum_operator()
-
+    # defined here, not only inherited, so that perfbench/spans.py can time
+    # the 1D vacuum solves apart from the multi-D ones
     def vacuum_solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._column.vacuum_solve(rhs)
+        return super().vacuum_solve(rhs)
 
 
 def build_problem_1d(grid: Grid1D, mat: MaterialStack, inc: Incoming1D) -> Problem1D:

@@ -20,7 +20,8 @@ of material jumps and of nu != 1; where those are few (a nu = 1 slab: its
 two faces), `linear_inverse` applies A_lin^{-1} exactly by two vacuum
 solves and a small capacitance system on those rows. With M=1 and mirror
 closures on both walls every transverse block is a scalar and the system is
-the slab problem that `helmholtz_1d` exposes.
+the slab problem: `helmholtz_1d.Problem1D` is a HelmholtzProblem on that
+single column, so every geometry reaches the solvers as this one class.
 
 Unknown ordering is n-major, m-minor; the real split interleaves (Re, Im)
 per node (see fields.to_real_split).
@@ -31,8 +32,8 @@ between like walls, each half wide enough for its wall closure) gets that
 reflection within each row as its `mirror`. Its `half_section()` is the
 problem on the first M/2 nodes of each row (x <= 0), closed at x = 0 by the
 mirror closure that closes a cylindrical section at its axis; the solvers
-iterate on it (see _system.mirror_fold). The field a solver returns and
-every output stay full size.
+iterate on it from a symmetric start (see `fold`). The field a solver
+returns and every output stay full size.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import solvers
-from ._system import KerrSystem, kerr_block_entries, mirror_invariant
+from ._system import KerrSystem, kerr_block_entries
 from .fields import (
     GridMultiD,
     MaterialStack,
@@ -81,6 +82,14 @@ __all__ = [
 # one-sided first derivative to the right minus the one to the left
 _ONE_SIDED_W = one_sided_first_derivative_4node()[0].weights
 _IFACE_W = np.array([*_ONE_SIDED_W[:0:-1], 2.0 * _ONE_SIDED_W[0], *_ONE_SIDED_W[1:]])
+
+
+def mirror_invariant(x, mirror: np.ndarray) -> bool:
+    """Whether a vector, or a dense or sparse square matrix, is invariant
+    under the index permutation `mirror`: the largest entrywise change is
+    within the solvers' CONTRACT_SCALE of the largest |entry|."""
+    y = x[mirror][:, mirror] if x.ndim == 2 else x[mirror]
+    return abs(y - x).max() <= solvers.CONTRACT_SCALE * abs(x).max()
 
 
 def _material_rows(grid: GridMultiD, mat: MaterialStack):
@@ -168,7 +177,9 @@ def _assemble(grid: GridMultiD, k0: float, W: np.ndarray, eps: np.ndarray,
 
 
 class HelmholtzProblem(KerrSystem):
-    """Assembled multi-dimensional problem in the shared solver interface."""
+    """Assembled problem of any geometry, the 1D slab included: the Kerr
+    algebra of KerrSystem plus the vacuum solve, the separable inverse of
+    A_lin and the mirror fold that the solvers use."""
 
     def __init__(self, grid: GridMultiD, mat: MaterialStack,
                  einc_left: np.ndarray | None = None,
@@ -210,13 +221,27 @@ class HelmholtzProblem(KerrSystem):
         """The problem on the x <= 0 half of a mirror-symmetric section: the
         first M/2 nodes of each row, at their true coordinates, between the
         section's bottom wall and a mirror closure at x = 0, as a cylindrical
-        section is closed at its axis (see _system.mirror_fold)."""
+        section is closed at its axis (see fold)."""
         m = self.grid.M // 2
         left, right = (None if e is None else e[:m]
                        for e in (self.einc_left, self.einc_right))
         return HelmholtzProblem(dataclasses.replace(self.grid, M=m), self.mat,
                                 left, right, bottom=self.suite.bottom,
                                 top=symmetric_closure())
+
+    def fold(self, e: np.ndarray):
+        """(half, e[H], gather) for a start e symmetric under the mirror, or
+        None when there is none or e is not symmetric under it. half is
+        half_section(), whose nodes are the orbit representatives H in
+        order; a half field x unfolds as x[gather]."""
+        mirror = self.mirror
+        if mirror is None or not mirror_invariant(e, mirror):
+            return None
+        n = mirror.size
+        H = np.flatnonzero(np.arange(n) < mirror)
+        gather = np.empty(n, dtype=np.int64)
+        gather[H] = gather[mirror[H]] = np.arange(H.size)
+        return self.half_section(), e[H], gather
 
     def _check_profile(self, einc):
         if einc is None:

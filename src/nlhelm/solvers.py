@@ -1,7 +1,8 @@
 """Nonlinear solution strategies over assembled Kerr systems.
 
-Three strategies share one problem interface (see _system.KerrSystem), two
-loops and one linear-solve step:
+Three strategies share one problem type (helmholtz_nd.HelmholtzProblem:
+the algebra of _system.KerrSystem, a vacuum solve, a separable inverse of
+A_lin and the mirror fold), two loops and one linear-solve step:
 
 * newton_solve: relaxed Newton on the real-split unknowns with an exact
   sparse Jacobian; the workhorse. A linear problem goes to freezing_solve,
@@ -25,7 +26,7 @@ at most one factor and its directions are alive.
 
 Cold start: from e = 0 the Jacobian is real_split(A_lin), and where the
 system has an exact inverse of A_lin that needs no sparse factor
-(KerrSystem.linear_inverse: on a nu = 1 slab, two vacuum solves and a
+(HelmholtzProblem.linear_inverse: on a nu = 1 slab, two vacuum solves and a
 capacitance correction on the slab-face rows) newton_solve hands it to
 _LinearSolve as the first live factor, applied through a complex view of
 the real-split vectors (_SeparableFactor). The first step is then solved as
@@ -41,7 +42,7 @@ tail is exact Newton, and convergence is declared only on an exact step.
 
 Mirror fold: when the problem has a mirror and the initial field is
 symmetric under it, each strategy runs on its half section, an ordinary
-problem with its own Jacobian and vacuum inverse (_system.mirror_fold), and
+problem with its own Jacobian and vacuum inverse (HelmholtzProblem.fold), and
 _finish unfolds the field once; the reuse rule stays that of the full
 problem.
 
@@ -51,15 +52,20 @@ controlled failure is reported through the SolveReport.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._system import CONTRACT_SCALE, KerrSystem, mirror_fold
+from ._system import KerrSystem
 from .errors import SingularMatrix
 from .fields import from_real_split, to_real_split
+
+if TYPE_CHECKING:
+    from .helmholtz_nd import HelmholtzProblem
 
 __all__ = [
     "NewtonConfig",
@@ -88,8 +94,10 @@ class NewtonConfig:
     def __post_init__(self):
         if not (0.0 < self.omega <= 1.0):
             raise ValueError(f"omega must be in (0, 1], got {self.omega}")
-        if self.convergence_tol <= 0 or self.switch_threshold <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("convergence_tol", "switch_threshold"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         for name in ("max_iterations", "born_inner_iterations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -111,7 +119,7 @@ class SolveReport:
     # "MaxIter" | "NaN" | "LinearSolveFail" | "OutOfMemory"
     divergence_reason: str | None = None
     # SuperLU factorizations behind accepted steps; Newton's separable cold
-    # start (KerrSystem.linear_inverse) is not counted
+    # start (HelmholtzProblem.linear_inverse) is not counted
     factorizations: int = 0
     krylov_iterations: int = 0    # preconditioned Krylov iterations over all steps
     forced_steps: int = 0         # Newton steps accepted under the forcing test
@@ -121,6 +129,9 @@ class SolveReport:
     mirror_folded: bool = False   # solved on the half section of the mirror fold
 
 
+# relative scale of the residual contract of sparse_lu_solve; a system or
+# field invariant under a mirror to this scale counts as symmetric
+CONTRACT_SCALE = 1e-10
 # Newton systems with at least this many real unknowns reuse their last LU as
 # a Krylov preconditioner; below it one LU per step is cheaper than the Krylov
 # bookkeeping. It sits between the largest 1D systems (~4,000) and the 2D
@@ -229,17 +240,17 @@ def _krylov_solve(J: sp.spmatrix, rhs: np.ndarray, lu, forcing: float = 0.0,
     return (x if accept(x) else None), iterations
 
 
-def _start(problem: KerrSystem, config: NewtonConfig):
+def _start(problem: HelmholtzProblem, config: NewtonConfig):
     """(system, e, gather) of a run: the system it iterates on, its initial
     field and the gather unfolding its field, None unless system is the
-    problem's half section from _system.mirror_fold."""
+    problem's half section from its fold."""
     e = np.zeros(problem.size, dtype=np.complex128)
     if config.initial_guess is not None:
         e = np.array(config.initial_guess, dtype=np.complex128).reshape(-1)
         if e.shape[0] != problem.size:
             raise ValueError(
                 f"initial guess has {e.shape[0]} nodes, problem has {problem.size}")
-    half = mirror_fold(problem, e)
+    half = problem.fold(e)
     return (problem, e, None) if half is None else half
 
 
@@ -312,7 +323,7 @@ class _LinearSolve:
                     forced_steps=self.forced_steps, lu_fill=self.lu_fill)
 
 
-def _finish(problem: KerrSystem, gather: np.ndarray | None, e: np.ndarray,
+def _finish(problem: HelmholtzProblem, gather: np.ndarray | None, e: np.ndarray,
             converged: bool, history: list[HistoryEntry], reason: str | None,
             **counts):
     """(field, SolveReport), e unfolded by gather unless that is None; counts
@@ -331,7 +342,7 @@ def _finish(problem: KerrSystem, gather: np.ndarray | None, e: np.ndarray,
     return e.reshape(problem.field_shape), report
 
 
-def newton_solve(problem: KerrSystem, config: NewtonConfig | None = None):
+def newton_solve(problem: HelmholtzProblem, config: NewtonConfig | None = None):
     """Relaxed Newton iteration: delta = -J^{-1} F, step omega/max(1, ||delta||)
     while ||delta||_inf >= switch_threshold, full steps after; converged when
     ||delta||_inf < convergence_tol.
@@ -426,7 +437,7 @@ def _frozen_iteration(system: KerrSystem, config: NewtonConfig, e: np.ndarray,
     return e, converged, history, reason
 
 
-def freezing_solve(problem: KerrSystem, config: NewtonConfig | None = None):
+def freezing_solve(problem: HelmholtzProblem, config: NewtonConfig | None = None):
     """Outer fixed-point iteration on the frozen-coefficient linear system:
     solve (A_lin + C diag(|E^j|^{2 sigma})) E^{j+1} = b until the iterates
     stop moving. A mirror-symmetric problem iterates on its half section."""
@@ -443,7 +454,7 @@ def freezing_solve(problem: KerrSystem, config: NewtonConfig | None = None):
         **linear.telemetry())
 
 
-def born_solve(problem: KerrSystem, config: NewtonConfig | None = None):
+def born_solve(problem: HelmholtzProblem, config: NewtonConfig | None = None):
     """Freezing outer loop with born_inner_iterations vacuum-preconditioned
     sweeps E <- A0^{-1} (b - (A_lin - A0) E - C (w E)) per outer step, w the
     frozen |E|^{2 sigma} and A0 the uniform linear operator, solved by
@@ -485,7 +496,7 @@ METHODS = {
 }
 
 
-def solve(problem: KerrSystem, config: NewtonConfig | None = None,
+def solve(problem: HelmholtzProblem, config: NewtonConfig | None = None,
           method: str = "newton"):
     try:
         fn = METHODS[method]

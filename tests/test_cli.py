@@ -268,6 +268,8 @@ class TestFieldFile:
         ("cartesian", 8, 0.5, 0.0, 4.0, "h_perp = 0.0 must be positive and finite"),
         ("cylindrical", 8, 0.5, -0.25, 4.0, "h_perp = -0.25 must be positive and finite"),
         ("cartesian", 8, 0.5, math.nan, 4.0, "h_perp = nan must be positive and finite"),
+        ("1d", 8, 0.5, math.nan, 4.0, "h_perp = nan must be 0.0 for a 1d field"),
+        ("1d", 8, 0.5, 0.25, 4.0, "h_perp = 0.25 must be 0.0 for a 1d field"),
     ])
     def test_header_no_grid_can_write_rejected(self, tmp_path, geometry, N, h_z,
                                                h_perp, k0, named):
@@ -444,6 +446,18 @@ class TestSolveCommand:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("convergence_tol", math.inf), ("convergence_tol", math.nan),
+        ("switch_threshold", math.inf),
+    ])
+    def test_non_finite_tolerance_exits_one_naming_field(self, tmp_path, capsys,
+                                                         field, value):
+        path, _ = write_config(tmp_path, **{field: value})
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {field} must be positive and finite, got {value}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("over,named", [
         ({"layers": [{"z_from": 0.0, "z_to": 5.0, "nu": 1.5, "eps": 0.0, "sigma": 3}]},
          "layers[0]: unknown fields ['sigma']"),
@@ -460,8 +474,20 @@ class TestSolveCommand:
          "beam_left: missing field 'shape'"),
         ({"Zmax": 4.0, "layers": [{"z_from": 1.0, "z_to": 4.0, "nu": 1.5, "eps": 0.0}]},
          "first layer must start at z=0"),
+        # JSON as Python reads it takes NaN and Infinity
+        ({"k0": math.nan}, "k0 must be positive and finite, got nan"),
+        ({"sigma": math.inf}, "sigma must be positive and finite, got inf"),
+        ({"layers": [{"z_from": 0.0, "z_to": 5.0, "nu": math.nan, "eps": 0.0}]},
+         "layers[0].nu must be finite, got nan"),
+        ({"layers": [{"z_from": 0.0, "z_to": 5.0, "nu": 1.5, "eps": -math.inf}]},
+         "layers[0].eps must be finite, got -inf"),
+        ({"Zmax": math.inf,
+          "layers": [{"z_from": 0.0, "z_to": math.inf, "nu": 1.5, "eps": 0.0}]},
+         "layers[0].z_to must be finite, got inf"),
+        ({**_MULTID, "M": 48, "extent": math.inf}, "extent must be positive and finite, got inf"),
     ], ids=["layer-key", "Zmax", "beam-key", "1d-beam", "beam-shape", "no-shape",
-            "stack-start"])
+            "stack-start", "k0-nan", "sigma-inf", "nu-nan", "eps-minus-inf", "z_to-inf",
+            "extent-inf"])
     def test_config_error_names_file_and_field(self, tmp_path, capsys, over, named):
         path, _ = write_config(tmp_path, **over)
         assert main(["solve", str(path)]) == 1

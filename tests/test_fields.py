@@ -1,5 +1,7 @@
 """Grid, material-stack, and field-container tests."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,11 @@ class TestGrid1D:
         with pytest.raises(InvalidGrid):
             build_grid_1d(0.0, 16)
 
+    @pytest.mark.parametrize("Zmax", [np.inf, np.nan])
+    def test_non_finite_domain_rejected(self, Zmax):
+        with pytest.raises(InvalidGrid, match="Zmax must be positive and finite"):
+            build_grid_1d(Zmax, 16)
+
     def test_z_nodes_cover_extended_range(self):
         grid = build_grid_1d(1.0, 8)
         zs = grid.z_nodes()
@@ -104,6 +111,13 @@ class TestGridMultiD:
         with pytest.raises(InvalidGrid):
             build_grid_multi(1.0, 8, 1.0, 4, "spherical")
 
+    @pytest.mark.parametrize("Zmax,extent,name", [
+        (np.inf, 1.0, "Zmax"), (2.0, np.inf, "extent"), (2.0, np.nan, "extent"),
+    ])
+    def test_non_finite_domain_rejected(self, Zmax, extent, name):
+        with pytest.raises(InvalidGrid, match=f"{name} must be positive and finite"):
+            build_grid_multi(Zmax, 8, extent, 4, "cartesian")
+
 
 class TestMaterialStack:
     def test_contiguity_enforced(self):
@@ -118,6 +132,24 @@ class TestMaterialStack:
             MaterialStack(k0=1.0, sigma=0.0, layers=(Layer(0.0, 1.0, 1.0, 0.0),))
         with pytest.raises(InvalidGrid):
             MaterialStack(k0=1.0, sigma=1.0, layers=(Layer(0.0, 1.0, -1.0, 0.0),))
+
+    @pytest.mark.parametrize("k0,sigma,layers,named", [
+        (np.nan, 1.0, [(0.0, 1.0, 1.0, 0.0)], "k0 must be positive and finite"),
+        (np.inf, 1.0, [(0.0, 1.0, 1.0, 0.0)], "k0 must be positive and finite"),
+        (1.0, np.nan, [(0.0, 1.0, 1.0, 0.0)], "sigma must be positive and finite"),
+        (1.0, np.inf, [(0.0, 1.0, 1.0, 0.0)], "sigma must be positive and finite"),
+        (1.0, 1.0, [(0.0, np.inf, 1.0, 0.0)], "layers[0].z_to must be finite"),
+        (1.0, 1.0, [(0.0, 1.0, np.nan, 0.0)], "layers[0].nu must be finite"),
+        (1.0, 1.0, [(0.0, 1.0, np.inf, 0.0)], "layers[0].nu must be finite"),
+        (1.0, 1.0, [(0.0, 1.0, 1.0, np.nan)], "layers[0].eps must be finite"),
+        (1.0, 1.0, [(0.0, 1.0, 1.0, -np.inf)], "layers[0].eps must be finite"),
+        (1.0, 1.0, [(0.0, 1.0, 1.0, 0.0), (1.0, 2.0, 1.0, np.nan)],
+         "layers[1].eps must be finite"),
+    ], ids=["k0-nan", "k0-inf", "sigma-nan", "sigma-inf", "z_to-inf", "nu-nan",
+            "nu-inf", "eps-nan", "eps-minus-inf", "second-layer-eps-nan"])
+    def test_non_finite_values_rejected(self, k0, sigma, layers, named):
+        with pytest.raises(InvalidGrid, match=re.escape(named)):
+            MaterialStack(k0=k0, sigma=sigma, layers=tuple(Layer(*v) for v in layers))
 
     def test_negative_eps_allowed(self):
         mat = MaterialStack(k0=1.0, sigma=1.0, layers=(Layer(0.0, 1.0, 1.0, -0.1),))

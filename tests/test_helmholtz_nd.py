@@ -43,8 +43,8 @@ from nlhelm import (
     symmetric_closure,
     to_real_split,
 )
-from nlhelm._system import kerr_block_entries, mirror_invariant, real_split_matrix
-from nlhelm.helmholtz_nd import _material_rows
+from nlhelm._system import kerr_block_entries, real_split_matrix
+from nlhelm.helmholtz_nd import _material_rows, mirror_invariant
 
 K0 = 4.0
 SYM = symmetric_closure()
@@ -512,7 +512,7 @@ class TestVacuumSolve:
 
     def test_tridiagonals_factored_once_per_problem(self, monkeypatch):
         # the mode-major tridiagonal LU is computed on the first call and
-        # reused; a 1D problem shares it through its single-column problem
+        # reused; a 1D problem is a single-column problem and factors likewise
         calls = []
         factor = scipy.linalg.lapack.zgttrf
 
@@ -548,10 +548,14 @@ class TestLinearInverse:
         dict(geometry="cylindrical", extent=4.0),
         dict(right=True),
         "half_section",
-    ], ids=["cartesian", "cylindrical", "einc-right", "half-section"])
+        "slab_1d",
+    ], ids=["cartesian", "cylindrical", "einc-right", "half-section", "slab-1d"])
     def test_meets_sparse_lu_contract_against_A_lin(self, case):
         if case == "half_section":
             problem = TestSectionMirror.beam_problem().half_section()
+        elif case == "slab_1d":
+            mat = MaterialStack(k0=K0, sigma=1.0, layers=(Layer(0.0, 4.0, 1.0, 0.0625),))
+            problem = Problem1D(build_grid_1d(4.0, 32), mat, Incoming1D(EincL=1.0))
         else:
             problem = kerr_slab(**case)
         A = problem.A_lin

@@ -152,6 +152,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             NewtonConfig(switch_threshold=-1.0)
 
+    @pytest.mark.parametrize("name", ["convergence_tol", "switch_threshold"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            NewtonConfig(**{name: value})
+
     def test_initial_guess_size_checked(self):
         problem = kerr_problem()
         with pytest.raises(ValueError):
@@ -478,6 +484,24 @@ class TestSeparableColdStart:
         assert seen == [] and report.factorizations == 0
         # step 0's solve, then step 1's Krylov solve preconditioned by it
         assert len(cold) == 2 + report.krylov_iterations
+
+    def test_1d_slab_takes_the_separable_cold_start(self, monkeypatch):
+        # a 1D problem is a HelmholtzProblem, so on the reuse path it has the
+        # same separable inverse of A_lin as a 2D section
+        mat = slab(1.0, 0.05)
+
+        def kerr_slab_1d():
+            return build_problem_1d(build_grid_1d(5.0, 256), mat, Incoming1D(EincL=1.75))
+
+        E_direct, direct = newton_solve(kerr_slab_1d())
+        monkeypatch.setattr(solvers, "REUSE_MIN_UNKNOWNS", 0)
+        seen = spy_factorizations(monkeypatch)
+        cold = spy_separable_solves(monkeypatch)
+        E, report = newton_solve(kerr_slab_1d())
+        assert report.converged and cold
+        assert seen == [] and report.factorizations == 0
+        assert (report.iterations, report.krylov_iterations) == (18, 41)
+        assert np.abs(E - E_direct).max() <= 1e-12 * np.abs(E_direct).max()
 
     def test_warm_start_factors_at_step_zero(self, slab_2d, monkeypatch):
         problem, E_direct, _ = slab_2d
