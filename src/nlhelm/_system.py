@@ -3,7 +3,8 @@
 A discrete problem is F(E) = A_lin E + C P(E) - b, with E the complex field
 flattened n-major, P(E) = |E|^{2 sigma} E applied pointwise, A_lin the
 field-independent part (difference operators, boundary closures, material
-terms on E) and C the coupling coefficients multiplying P. KerrSystem holds
+terms on E) and C the coupling coefficients multiplying P; a linear problem
+is the case C = 0, which each formula here covers. KerrSystem holds
 (A_lin, C, b, sigma) and evaluates the residual, frozen operators and the
 exact real-split Jacobian; `helmholtz_nd.HelmholtzProblem` assembles every
 geometry, the 1D slab included, on top of it.
@@ -47,16 +48,13 @@ def kerr_block_entries(e: np.ndarray, sigma: float):
     """
     er, ei = e.real, e.imag
     amp = er * er + ei * ei
-    if sigma == 1:
-        pow_m1 = np.ones_like(amp)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pow_m1 = amp ** (sigma - 1.0)
-        bad = ~np.isfinite(pow_m1)
-        if bad.any():
-            if sigma < 1:
-                warnings.warn("Kerr derivative singular at E=0 for sigma<1; using zero block")
-            pow_m1 = np.where(bad, 0.0, pow_m1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pow_m1 = amp ** (sigma - 1.0)
+    bad = ~np.isfinite(pow_m1)
+    if bad.any():
+        if sigma < 1:
+            warnings.warn("Kerr derivative singular at E=0 for sigma<1; using zero block")
+        pow_m1 = np.where(bad, 0.0, pow_m1)
     asig = amp**sigma
     two_sig = 2.0 * sigma
     a = asig + two_sig * er * er * pow_m1
@@ -97,15 +95,10 @@ class KerrSystem:
         # evaluated on diverging iterates too, where overflow to inf is the
         # honest result that the solvers then report
         with np.errstate(over="ignore", invalid="ignore"):
-            r = self.A_lin @ e - self.b
-            if self.has_kerr:
-                r = r + self.C @ (self.kerr_weights(e) * e)
-            return r
+            return self.A_lin @ e - self.b + self.C @ (self.kerr_weights(e) * e)
 
     def frozen_operator(self, w: np.ndarray) -> sp.csr_matrix:
         """A_lin + C diag(w): the linear operator with |E|^{2 sigma} frozen at w."""
-        if not self.has_kerr:
-            return self.A_lin
         return (self.A_lin + self.C @ sp.diags(w, format="csr")).tocsr()
 
     def jacobian_real(self, e: np.ndarray) -> sp.csr_matrix:
@@ -115,8 +108,6 @@ class KerrSystem:
         if self._A_real is None:
             self._A_real = real_split_matrix(self.A_lin)
             self._C_real = real_split_matrix(self.C)
-        if not self.has_kerr:
-            return self._A_real
         a, b, c = kerr_block_entries(e, self.sigma)
         blocks = np.stack([a, b, b, c], axis=-1).reshape(-1, 2, 2)
         n = np.arange(self.size + 1)

@@ -282,8 +282,11 @@ def _grid_header(grid, k0: float) -> dict:
 def write_field(path, E: np.ndarray, grid, k0: float) -> None:
     """Binary field file: 16-byte magic, (geometry, N, M) as little-endian
     u64, (h_z, h_perp, k0) as little-endian f64, then the complex nodes
-    row-major as little-endian f64 (Re, Im) pairs."""
+    row-major as little-endian f64 (Re, Im) pairs, in read_field's shape."""
     head = _grid_header(grid, k0)
+    shape = (head["N"] + 7, head["M"])[:1 if head["geometry"] == "1d" else 2]
+    if np.shape(E) != shape:
+        raise ValueError(f"{path}: field shape {np.shape(E)} does not fit its grid, {shape}")
     buf = io.BytesIO()
     buf.write(MAGIC)
     buf.write(_HEADER.pack(_GEOMETRY_TAGS[head["geometry"]], head["N"],

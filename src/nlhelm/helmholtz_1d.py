@@ -22,7 +22,7 @@ from . import solvers
 from .errors import OracleRequiresLinear
 from .fields import Grid1D, GridMultiD, MaterialStack
 from .helmholtz_nd import HelmholtzProblem
-from .transverse import injection_weight, root_from_ksq, symmetric_closure
+from .transverse import injection_weight, root_from_ksq
 
 __all__ = [
     "Abc1DClosure",
@@ -72,18 +72,17 @@ def characteristic_root(k0: float, h: float) -> Abc1DClosure:
 
 class Problem1D(HelmholtzProblem):
     """The slab as the single-column multi-D problem: one transverse node
-    with mirror closures on both walls and a unit transverse step, so the
-    mirrored transverse stencils cancel to rounding level. The field keeps
-    the 1D shape (N+7,); grid is the single column the problem is assembled
-    on, with the N, Zmax, h and node indexing of the Grid1D it was built from.
+    with mirror closures on both walls (the default at M = 1) and a unit
+    transverse step, so the mirrored transverse stencils cancel to rounding
+    level. The field keeps the 1D shape (N+7,); grid is the single column it
+    is assembled on, with the N, Zmax, h and node indexing of its Grid1D.
     """
 
     def __init__(self, grid: Grid1D, mat: MaterialStack, inc: Incoming1D):
         column = GridMultiD(N=grid.N, Zmax=grid.Zmax, h_z=grid.h, M=1,
                             extent=0.5, h_perp=1.0, geometry="cartesian")
         super().__init__(column, mat, einc_left=np.array([inc.EincL]),
-                         einc_right=np.array([inc.EincR]),
-                         bottom=symmetric_closure(), top=symmetric_closure())
+                         einc_right=np.array([inc.EincR]))
         self.field_shape = (grid.num_nodes,)
 
     # defined here, not only inherited, so that perfbench/spans.py can time

@@ -19,7 +19,7 @@ systems of at least REUSE_MIN_UNKNOWNS real unknowns, newton_solve keeps
 the last LU of its Jacobian and solves later steps by GCROT(m,k) (scipy's
 gcrotmk) right-preconditioned with it, refactoring only when a Krylov solve
 is slow or misses its acceptance test. The Krylov solve recycles: up to
-KRYLOV_RECYCLE directions of its search space, and its last solution, are
+KRYLOV_RESTART directions of its search space, and its last solution, are
 carried from one Newton step to the next and projected out before any
 triangular solve. They are built on the live factor and dropped with it, so
 at most one factor and its directions are alive.
@@ -133,15 +133,13 @@ class SolveReport:
 # field invariant under a mirror to this scale counts as symmetric
 CONTRACT_SCALE = 1e-10
 # Newton systems with at least this many real unknowns reuse their last LU as
-# a Krylov preconditioner; below it one LU per step is cheaper than the Krylov
-# bookkeeping. It sits between the largest 1D systems (~4,000) and the 2D
-# desk problems (>= 12,000).
+# a Krylov preconditioner; below it one LU per step is no slower (measured on
+# small-batch's 1D solves) and is the tests' reference path. It lies between
+# the largest 1D systems (~4,000) and the 2D desk problems (>= 12,000).
 REUSE_MIN_UNKNOWNS = 10_000
-# preconditioned iterations of the one Krylov cycle a step may take
+# preconditioned iterations of the one Krylov cycle a step may take, and the
+# directions GCROT(m,k) carries from one Newton step to the next on one factor
 KRYLOV_RESTART = 20
-# directions of the Krylov space that GCROT(m,k) carries from one Newton step
-# to the next on the same factor
-KRYLOV_RECYCLE = 20
 # a preconditioned solve slower than this means the factor has gone stale
 REFACTOR_ITERATIONS = 15
 # an exact Krylov solve stops at this fraction of the contract bound, in the
@@ -233,9 +231,9 @@ def _krylov_solve(J: sp.spmatrix, rhs: np.ndarray, lu, forcing: float = 0.0,
     precond = spla.LinearOperator(J.shape, matvec=precondition, dtype=rhs.dtype)
     # gcrotmk's cycle runs m + max(k - len(CU), 0) iterations, so m is cut
     # while the recycled space is short to hold it at KRYLOV_RESTART
-    m = KRYLOV_RESTART - max(KRYLOV_RECYCLE - len(recycled), 0)
+    m = min(len(recycled), KRYLOV_RESTART)
     x, _ = spla.gcrotmk(J, rhs, x0=x0, M=precond, rtol=0.0, atol=atol,
-                        m=m, k=KRYLOV_RECYCLE, CU=recycled, discard_C=True,
+                        m=m, k=KRYLOV_RESTART, CU=recycled, discard_C=True,
                         maxiter=1)
     return (x if accept(x) else None), iterations
 
@@ -466,17 +464,14 @@ def born_solve(problem: HelmholtzProblem, config: NewtonConfig | None = None):
     system, e, gather = _start(problem, config)
     D_base = (system.A_lin - system.vacuum_operator()).tocsr()
     exact = D_base.nnz == 0 and not system.has_kerr
-    sweeps = 1 if exact else config.born_inner_iterations
 
     def vacuum_sweeps(w, e):
         x, reason = e, None
         # a diverging sweep may overflow to inf mid-iteration; that is a
         # reported outcome, not an error
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(sweeps):
-                rhs = system.b - D_base @ x
-                if system.has_kerr:
-                    rhs -= system.C @ (w * x)
+            for _ in range(config.born_inner_iterations):
+                rhs = system.b - D_base @ x - system.C @ (w * x)
                 if not np.all(np.isfinite(rhs)):
                     reason = "NaN"
                     break

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nlhelm import (
     AdjustmentUndefined,
@@ -317,6 +318,51 @@ class TestNlsMarch:
         assert not res.blew_up
         assert res.z_star is None
         assert res.peak.max() < 2.0 * res.peak[0]
+
+    def test_unsettled_pass_halves_the_step(self, monkeypatch):
+        # a strong Kerr phase over dz = 0.5 moves the corrector by more than a
+        # tenth of the field: the step is retried at half the length until
+        # the pass settles, although every banded solve is finite
+        finite = []
+        real = scipy.linalg.solve_banded
+
+        def spy(*args, **kwargs):
+            x = real(*args, **kwargs)
+            finite.append(bool(np.isfinite(x).all()))
+            return x
+
+        monkeypatch.setattr(scipy.linalg, "solve_banded", spy)
+        grid = quiet_grid(2.0, 16, 3.0, 24, "cartesian")
+        x = grid.transverse_coords()
+        res = nls_march(grid, K0, 1.0, 1.0, 3.0 * np.exp(-(x**2)), dz=0.5)
+        assert not res.blew_up and res.z_star is None
+        assert res.z[-1] == pytest.approx(2.0)
+        halvings = np.log2(0.5 / np.diff(res.z))
+        assert halvings[0] >= 1
+        assert np.array_equal(halvings, np.round(halvings))
+        assert all(finite)
+        # two banded solves per pass, accepted or not
+        assert len(finite) > 2 * (len(res.z) - 1)
+
+    def test_step_below_floor_reports_last_accepted_z(self, monkeypatch):
+        # after three accepted steps every banded solve fails: dz halves 17
+        # times, to below its floor dz 2^-16, and the march stops at z = 0.75
+        calls = []
+        real = scipy.linalg.solve_banded
+
+        def failing_after_three_steps(*args, **kwargs):
+            calls.append(None)
+            x = real(*args, **kwargs)
+            return x if len(calls) <= 6 else np.full_like(x, np.nan)
+
+        monkeypatch.setattr(scipy.linalg, "solve_banded", failing_after_three_steps)
+        grid = quiet_grid(2.0, 16, 3.0, 24, "cartesian")
+        x = grid.transverse_coords()
+        res = nls_march(grid, K0, 0.0, 1.0, np.exp(-(x**2)), dz=0.25)
+        assert res.blew_up
+        assert res.z_star == res.z[-1] == 0.75
+        assert len(res.z) == len(res.peak) == 4
+        assert len(calls) == 6 + 17
 
     def test_validation_and_bookkeeping(self):
         grid = quiet_grid(2.0, 40, 6.0, 64, "cartesian")

@@ -11,7 +11,19 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from nlhelm import ConfigError, build_grid_1d, build_grid_multi
+from nlhelm import (
+    BeamSpec,
+    ConfigError,
+    HelmholtzProblem,
+    Incoming1D,
+    Layer,
+    MaterialStack,
+    Problem1D,
+    build_grid_1d,
+    build_grid_multi,
+    make_incoming,
+    solve,
+)
 from nlhelm.solvers import HistoryEntry, SolveReport
 from nlhelm.cli import (
     _GEOMETRY_TAGS,
@@ -286,6 +298,22 @@ class TestFieldFile:
         assert (header["N"], header["h_perp"]) == (8, 0.0)
         assert E.shape == (15,)
 
+    @pytest.mark.parametrize("grid,shape,fits", [
+        # a Problem1D's grid is its single column, on which a 1D field of
+        # shape (N+7,) would become a cartesian M = 1 file read as (N+7, 1)
+        (Problem1D(build_grid_1d(5.0, 64),
+                   MaterialStack(k0=4.0, sigma=1.0, layers=(Layer(0.0, 5.0, 1.0, 0.05),)),
+                   Incoming1D(EincL=1.0)).grid, (71,), (71, 1)),
+        (build_grid_multi(5.0, 64, 1.0, 8, "cartesian"), (71,), (71, 8)),
+        (build_grid_1d(5.0, 64), (71, 8), (71,)),
+    ], ids=["1d-field-on-problem-column", "1d-field-on-cartesian", "2d-field-on-1d"])
+    def test_field_not_fitting_grid_rejected(self, tmp_path, grid, shape, fits):
+        path = tmp_path / "field.bin"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: field shape {shape} does not fit its grid, {fits}")):
+            write_field(path, np.ones(shape, dtype=complex), grid, 4.0)
+        assert not list(tmp_path.iterdir())
+
     def test_truncated_body_rejected(self, tmp_path):
         grid = build_grid_1d(5.0, 16)
         path = tmp_path / "field.bin"
@@ -385,6 +413,26 @@ class TestSolveCommand:
         assert report["lu_fill"] > 0
         _, E = read_field(tmp_path / "out" / "field.bin")
         assert np.array_equal(E, E[:, ::-1])
+
+    def test_counter_propagating_beams_reach_the_problem(self, tmp_path, capsys):
+        # beam_right enters through the right face; the written field is the
+        # solve of the same two-beam problem built by hand
+        sech = {"shape": "sech", "r0": math.sqrt(2.0)}
+        path, _ = write_config(
+            tmp_path, name="pair", geometry="cartesian", Zmax=2.0, N=30,
+            extent=6.0, M=60,
+            layers=[{"z_from": 0.0, "z_to": 2.0, "nu": 1.0, "eps": 0.0625}],
+            beam_left=sech, beam_right={**sech, "amplitude_re": 0.5})
+        assert main(["solve", str(path)]) == 0
+        _, E_cli = read_field(tmp_path / "out" / "field.bin")
+        mat = MaterialStack(k0=4.0, sigma=1.0, layers=(Layer(0.0, 2.0, 1.0, 0.0625),))
+        grid = build_grid_multi(2.0, 30, 6.0, 60, "cartesian")
+        left, right = (make_incoming(BeamSpec(shape="sech", r0=math.sqrt(2.0),
+                                              amplitude=amplitude, side=side), grid, mat)
+                       for amplitude, side in ((1.0, "left"), (0.5, "right")))
+        E, report = solve(HelmholtzProblem(grid, mat, left, right))
+        assert report.converged
+        assert E_cli.tobytes() == E.tobytes()
 
     def test_out_of_memory_exits_two_with_report(self, tmp_path, capsys, monkeypatch):
         def splu(*args, **kwargs):
@@ -539,6 +587,19 @@ class TestConvergeCommand:
         assert len(lines) == 4
         out = capsys.readouterr().out
         assert "level 2: N=64" in out
+
+    def test_multid_study_doubles_both_counts(self, tmp_path, capsys):
+        path, _ = write_config(
+            tmp_path, name="conv2d", geometry="cartesian", Zmax=2.0, N=16,
+            extent=2.0, M=12,
+            layers=[{"z_from": 0.0, "z_to": 2.0, "nu": 1.0, "eps": 0.05}],
+            beam_left={"shape": "gaussian", "width": 1.0})
+        assert main(["converge", str(path), "--levels", "2"]) == 0
+        lines = (tmp_path / "out" / "converge.csv").read_text().splitlines()
+        assert lines[0] == "N,M,diff_to_next,rate"
+        levels = [tuple(float(v) for v in line.split(",")[:2]) for line in lines[1:]]
+        assert levels == [(16.0, 12.0), (32.0, 24.0)]
+        assert "level 1: N=32 M=24" in capsys.readouterr().out
 
     def test_levels_validated(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)

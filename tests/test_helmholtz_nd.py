@@ -236,6 +236,20 @@ class TestKerrBlocks:
     def test_zero_field_block(self):
         assert np.array_equal(kerr_jacobian_block(0.0, 1.0), np.zeros((2, 2)))
 
+    def test_cubic_entries_are_the_closed_form_bit_for_bit(self):
+        # A^(sigma - 1) = A^0 is exactly 1.0 for every float, so the cubic
+        # entries are the closed form without it, also at 0, inf and NaN
+        values = [0.0, 1e-200, 1e200, np.inf, np.nan, 0.7, -1.3]
+        er, ei = (v.ravel() for v in np.meshgrid(values, values))
+        e = np.empty(er.size, dtype=complex)
+        e.real, e.imag = er, ei
+        with np.errstate(over="ignore", invalid="ignore"):
+            entries = kerr_block_entries(e, 1.0)
+            amp = er * er + ei * ei
+            closed = (amp + 2.0 * er * er, 2.0 * er * ei, amp + 2.0 * ei * ei)
+        for got, want in zip(entries, closed):
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("sigma", [1.0, 2.0])
     def test_block_matches_finite_differences(self, sigma):
         rng = np.random.default_rng(5)
@@ -435,6 +449,36 @@ class TestSectionMirror:
         mat = MaterialStack(k0=K0, sigma=1.0, layers=(Layer(0.0, 5.0, 1.5, 0.0625),))
         problem = Problem1D(build_grid_1d(5.0, 40), mat, Incoming1D(EincL=1.0))
         assert problem.mirror is None
+
+
+@pytest.fixture(params=["1d", "2d"])
+def linear_stack(request):
+    """A linear layered stack (C = 0) with two genuine nu jumps."""
+    mat = MaterialStack(k0=K0, sigma=1.0, layers=(
+        Layer(0.0, 1.5, 1.3, 0.0), Layer(1.5, 3.0, 1.1, 0.0), Layer(3.0, 4.0, 1.5, 0.0)))
+    if request.param == "1d":
+        return Problem1D(build_grid_1d(4.0, 64), mat, Incoming1D(EincL=1.0))
+    return HelmholtzProblem(quiet_grid(4.0, 32, 4.0, 8, "cartesian"), mat,
+                            einc_left=np.ones(8, dtype=complex))
+
+
+class TestLinearCase:
+    """A linear problem is the Kerr system with C = 0: the general formulas
+    give A_lin's own matrices."""
+
+    def test_frozen_operator_is_A_lin(self, linear_stack):
+        assert not linear_stack.has_kerr
+        w = np.random.default_rng(7).uniform(0.5, 2.0, linear_stack.size)
+        A, F = linear_stack.A_lin, linear_stack.frozen_operator(w)
+        assert np.array_equal(F.indptr, A.indptr)
+        assert np.array_equal(F.indices, A.indices)
+        assert F.data.tobytes() == A.data.tobytes()
+
+    def test_jacobian_is_real_split_A_lin(self, linear_stack):
+        rng = np.random.default_rng(8)
+        E = rng.normal(size=linear_stack.size) + 1j * rng.normal(size=linear_stack.size)
+        J = assemble_jacobian(E, linear_stack)
+        assert np.array_equal(J.toarray(), real_split_matrix(linear_stack.A_lin).toarray())
 
 
 class TestSlabReduction:

@@ -251,7 +251,7 @@ class TestKrylovSolve:
             assert x is not None
             iterations.append(its)
         _, fresh = solvers._krylov_solve(J, rhs, lu)
-        assert 0 < len(recycled) <= solvers.KRYLOV_RECYCLE + 1
+        assert 0 < len(recycled) <= solvers.KRYLOV_RESTART + 1
         # the first system has nothing to recycle; the space then grows
         assert iterations[0] == fresh
         assert iterations[-1] < fresh
@@ -414,6 +414,57 @@ class TestNewton:
         assert report.divergence_reason == reason
         assert report.iterations == 0
         assert report.factorizations == 0
+
+    def test_overflowing_guess_stops_on_non_finite_residual(self):
+        # |E|^2 of 1e200 overflows, so the first residual is not finite
+        problem = kerr_problem()
+        guess = np.full(problem.size, 1e200, dtype=complex)
+        _, report = newton_solve(problem, NewtonConfig(initial_guess=guess))
+        assert not report.converged
+        assert report.divergence_reason == "NaN"
+        assert report.iterations == len(report.history) == 0
+        assert report.factorizations == 0
+
+
+class SkewedFactor:
+    """A SuperLU factor whose solves come back wrong: all NaN, or off by a
+    relative 1e-6; either breaks the residual contract of sparse_lu_solve."""
+
+    def __init__(self, lu, skew):
+        self.lu, self.skew, self.nnz = lu, skew, lu.nnz
+
+    def solve(self, rhs):
+        x = self.lu.solve(rhs)
+        return np.full_like(x, np.nan) if self.skew == "nan" else x * (1 + 1e-6)
+
+
+# how sparse_lu_solve names each skew's contract miss
+CONTRACT_MISSES = {"nan": "produced non-finite values", "off": "exceeds contract bound"}
+
+
+class TestContractRejection:
+    @staticmethod
+    def skew_splu(monkeypatch, skew):
+        real = spla.splu
+        monkeypatch.setattr(spla, "splu",
+                            lambda A, *args, **kw: SkewedFactor(real(A, *args, **kw), skew))
+
+    @pytest.mark.parametrize("skew", CONTRACT_MISSES)
+    def test_sparse_lu_solve_names_the_miss(self, skew, monkeypatch):
+        self.skew_splu(monkeypatch, skew)
+        A = sp.diags([np.full(49, -1.0), np.full(50, 4.0), np.full(49, -1.0)],
+                     [-1, 0, 1], format="csr")
+        with pytest.raises(SingularMatrix, match=CONTRACT_MISSES[skew]):
+            sparse_lu_solve(A, np.ones(50))
+
+    @pytest.mark.parametrize("skew", CONTRACT_MISSES)
+    @pytest.mark.parametrize("method", [newton_solve, freezing_solve])
+    def test_miss_reported_not_raised(self, method, skew, monkeypatch):
+        self.skew_splu(monkeypatch, skew)
+        _, report = method(kerr_problem())
+        assert not report.converged
+        assert report.divergence_reason == "LinearSolveFail"
+        assert report.iterations == report.factorizations == 0
 
 
 @pytest.fixture(scope="module")
