@@ -126,7 +126,7 @@ def soliton_profile(k0: float, eps: float, r0: float, x, z: float = 0.0):
     return amp / np.cosh(np.asarray(x, dtype=float) / r0) * np.exp(1j * phase)
 
 
-def on_axis_index(grid: GridMultiD) -> int:
+def on_axis_index(grid: GridMultiD | Grid1D) -> int:
     """Transverse index of the cell nearest the beam axis."""
     if grid.geometry == "cylindrical":
         return 0
@@ -160,8 +160,7 @@ def poynting_flux(E: np.ndarray, grid, k0: float) -> FluxProfile:
     integrates S_z over the cross-section (trapezoid-free cell sum; no 2 pi
     factor in cylindrical geometry)."""
     E = np.asarray(E, dtype=np.complex128)
-    one_d = E.ndim == 1
-    F = E[:, None] if one_d else E
+    F = E.reshape(len(E), -1)
     N, h = grid.N, grid.h
     w4 = central(1, 4)
     ns = np.arange(-2, N + 3)
@@ -172,14 +171,12 @@ def poynting_flux(E: np.ndarray, grid, k0: float) -> FluxProfile:
                    for off, w in zip(w4.offsets, w4.weights)) / h
     dE[[0, -1]] = (F[[2, N + 6]] - F[[0, N + 4]]) / (2.0 * h)
     S = (np.conj(F[1:N + 6]) * dE).imag / k0
-    if one_d:
-        S = S[:, 0]
-        power = S.copy()
-    elif grid.geometry == "cylindrical":
+    if grid.geometry == "cylindrical":
         power = (S * grid.transverse_coords()).sum(axis=1) * grid.h_perp
     else:
         power = S.sum(axis=1) * grid.h_perp
-    return FluxProfile(n=ns, z=ns * float(h), S_z=S, power=power)
+    return FluxProfile(n=ns, z=ns * float(h), S_z=S.reshape(ns.size, *E.shape[1:]),
+                       power=power)
 
 
 @dataclass(frozen=True)
@@ -372,7 +369,7 @@ def _pair_difference(Ec: np.ndarray, gc, Ef: np.ndarray, gf) -> float:
     interpolated to the coarse cell centers by 4-point midpoint cubic."""
     rows_c = np.arange(0, gc.N + 1) + 3
     rows_f = 2 * np.arange(0, gc.N + 1) + 3
-    if isinstance(gc, Grid1D) or Ec.ndim == 1:
+    if Ec.ndim == 1:
         return float(np.abs(Ec[rows_c] - Ef[rows_f]).max())
     Mc = gc.M
     m = np.arange(1, Mc - 1)
@@ -391,8 +388,7 @@ def grid_convergence_study(fields, grids) -> ConvergenceTable:
     if len(fields) != len(grids) or len(grids) < 2:
         raise ValueError("need matching fields and grids, at least two levels")
     for gc, gf in zip(grids, grids[1:]):
-        same_kind = isinstance(gc, Grid1D) == isinstance(gf, Grid1D)
-        if not same_kind:
+        if isinstance(gc, Grid1D) != isinstance(gf, Grid1D):
             raise NonNestedGrids("mixed grid kinds in the family")
         if gf.N != 2 * gc.N or abs(gf.Zmax - gc.Zmax) > 1e-12 * gc.Zmax:
             raise NonNestedGrids(
@@ -409,7 +405,7 @@ def grid_convergence_study(fields, grids) -> ConvergenceTable:
                 raise NonNestedGrids(
                     "transverse interpolation needs at least 4 coarse cells"
                 )
-    levels = [(g.N, getattr(g, "M", 1)) for g in grids]
+    levels = [(g.N, g.M) for g in grids]
     diffs = [
         _pair_difference(fields[i], grids[i], fields[i + 1], grids[i + 1])
         for i in range(len(grids) - 1)
@@ -421,16 +417,13 @@ def grid_convergence_study(fields, grids) -> ConvergenceTable:
 def interpolate_field(E: np.ndarray, grid_from, grid_to) -> np.ndarray:
     """Linear resampling of a stored field onto another grid of the same
     geometry; intended for warm starts, not for accuracy-critical use."""
-    E = np.asarray(E, dtype=np.complex128)
-    z_from = grid_from.z_nodes()
-    z_to = grid_to.z_nodes()
-    if E.ndim == 1:
-        return _interp_rows(z_to, z_from, E[:, None])[:, 0]
+    E = np.asarray(E, dtype=np.complex128).reshape(grid_from.num_nodes, grid_from.M)
     if grid_from.geometry != grid_to.geometry:
         raise ValueError("cannot interpolate between geometries")
-    mid = _interp_rows(z_to, z_from, E)
+    mid = _interp_rows(grid_to.z_nodes(), grid_from.z_nodes(), E)
     return np.ascontiguousarray(_interp_rows(
-        grid_to.transverse_coords(), grid_from.transverse_coords(), mid.T).T)
+        grid_to.transverse_coords(), grid_from.transverse_coords(), mid.T).T
+    ).reshape(grid_to.field_shape)
 
 
 def _interp_rows(x: np.ndarray, xp: np.ndarray, F: np.ndarray) -> np.ndarray:

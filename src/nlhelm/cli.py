@@ -46,7 +46,6 @@ from .fields import (
     build_grid_1d,
     build_grid_multi,
 )
-from .helmholtz_1d import Incoming1D, Problem1D
 from .helmholtz_nd import HelmholtzProblem
 from .solvers import NewtonConfig
 
@@ -72,6 +71,8 @@ class RunConfig:
     layers: list[dict]       # {"z_from", "z_to", "nu", "eps"}
     extent: float | None = None   # Xmax / Rmax (multi-D only)
     M: int = 1
+    # incoming beam per side, None for none: BeamSpec's fields in multi-D, a
+    # plane wave's amplitude_re/amplitude_im in 1D; both default to 1 + 0j
     beam_left: dict | None = None
     beam_right: dict | None = None
     solver: str = "newton"   # a key of solvers.METHODS
@@ -90,10 +91,10 @@ class RunConfig:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
-    def newton_config(self, initial_guess=None) -> NewtonConfig:
-        settings = {f.name: getattr(self, f.name) for f in dataclasses.fields(NewtonConfig)
-                    if f.name != "initial_guess"}
-        return NewtonConfig(initial_guess=initial_guess, **settings)
+    def newton_config(self) -> NewtonConfig:
+        return NewtonConfig(**{f.name: getattr(self, f.name)
+                               for f in dataclasses.fields(NewtonConfig)
+                               if f.name != "initial_guess"})
 
 
 _REQUIRED = ("name", "geometry", "Zmax", "N", "k0", "sigma", "layers")
@@ -192,6 +193,10 @@ def load_config(path) -> RunConfig:
     return parse_config(data, source=str(path))
 
 
+def _amplitude(beam: dict) -> complex:
+    return complex(beam.get("amplitude_re", 1.0), beam.get("amplitude_im", 0.0))
+
+
 def _beam_spec(beam: dict, side: str, source: str) -> BeamSpec:
     if "shape" not in beam:
         raise ConfigError(f"{source}: beam_{side}: missing field 'shape'")
@@ -202,8 +207,7 @@ def _beam_spec(beam: dict, side: str, source: str) -> BeamSpec:
             r0=beam.get("r0"),
             width=beam.get("width"),
             samples=None if samples is None else np.asarray(samples, dtype=complex),
-            amplitude=complex(beam.get("amplitude_re", 1.0),
-                              beam.get("amplitude_im", 0.0)),
+            amplitude=_amplitude(beam),
             center=beam.get("center", 0.0),
             tilt_angle=beam.get("tilt_angle", 0.0),
             side=side,
@@ -232,27 +236,16 @@ def build_problem(cfg: RunConfig, source: str = "<config>"):
             grid = build_grid_multi(cfg.Zmax, cfg.N, cfg.extent, cfg.M, cfg.geometry)
     except InvalidGrid as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-    if cfg.geometry == "1d":
 
-        def plane_amplitude(beam):
-            if beam is None:
-                return 0.0
-            return complex(beam.get("amplitude_re", 0.0), beam.get("amplitude_im", 0.0))
+    def incoming(side):
+        beam = getattr(cfg, f"beam_{side}")
+        if cfg.geometry == "1d":  # a plane wave; an absent one has amplitude 0
+            return np.array([0j if beam is None else _amplitude(beam)])
+        if beam is None:
+            return None
+        return make_incoming(_beam_spec(beam, side, source), grid, mat)
 
-        inc = Incoming1D(
-            EincL=plane_amplitude(cfg.beam_left),
-            EincR=plane_amplitude(cfg.beam_right),
-        )
-        problem = Problem1D(grid, mat, inc)
-    else:
-        einc_left = einc_right = None
-        if cfg.beam_left is not None:
-            einc_left = make_incoming(_beam_spec(cfg.beam_left, "left", source),
-                                      grid, mat)
-        if cfg.beam_right is not None:
-            einc_right = make_incoming(_beam_spec(cfg.beam_right, "right", source),
-                                       grid, mat)
-        problem = HelmholtzProblem(grid, mat, einc_left, einc_right)
+    problem = HelmholtzProblem(grid, mat, incoming("left"), incoming("right"))
     return problem, grid, mat, cfg.newton_config()
 
 
@@ -284,9 +277,9 @@ def write_field(path, E: np.ndarray, grid, k0: float) -> None:
     u64, (h_z, h_perp, k0) as little-endian f64, then the complex nodes
     row-major as little-endian f64 (Re, Im) pairs, in read_field's shape."""
     head = _grid_header(grid, k0)
-    shape = (head["N"] + 7, head["M"])[:1 if head["geometry"] == "1d" else 2]
-    if np.shape(E) != shape:
-        raise ValueError(f"{path}: field shape {np.shape(E)} does not fit its grid, {shape}")
+    if np.shape(E) != grid.field_shape:
+        raise ValueError(f"{path}: field shape {np.shape(E)} does not fit its grid, "
+                         f"{grid.field_shape}")
     buf = io.BytesIO()
     buf.write(MAGIC)
     buf.write(_HEADER.pack(_GEOMETRY_TAGS[head["geometry"]], head["N"],
@@ -338,10 +331,6 @@ def _csv(rows, header: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def _report_dict(report: solvers.SolveReport, runtime: float) -> dict:
-    return {**dataclasses.asdict(report), "runtime_seconds": runtime}
-
-
 def resolve_output_dir(cfg: RunConfig) -> Path:
     if cfg.output_dir:
         return Path(cfg.output_dir)
@@ -368,21 +357,18 @@ def write_outputs(out_dir: Path, cfg: RunConfig, E: np.ndarray, grid, mat,
     # overflow to inf, which is the honest value to record
     with np.errstate(over="ignore", invalid="ignore"):
         flux = poynting_flux(E, grid, mat.k0)
-        if isinstance(grid, GridMultiD):
-            axis = on_axis_index(grid)
-            amp_sq = np.abs(E[flux.n + 3, axis]) ** 2
-            s_axis = flux.S_z[:, axis]
-        else:
-            amp_sq = np.abs(E[flux.n + 3]) ** 2
-            s_axis = flux.S_z
+        # a 1D field and its S_z read as their single column
+        axis = on_axis_index(grid)
+        amp_sq = np.abs(E.reshape(len(E), -1)[flux.n + 3, axis]) ** 2
+        s_axis = flux.S_z.reshape(len(flux.n), -1)[:, axis]
     _atomic_write(
         out_dir / "on_axis.csv",
         _csv(zip(flux.z, amp_sq, s_axis, flux.power),
              "z,abs_E_squared,S_z,beam_power"),
     )
     _atomic_write(out_dir / "flux.csv", _csv(zip(flux.z, flux.power), "z,beam_power"))
-    _atomic_write(out_dir / "report.json",
-                  json.dumps(_report_dict(report, runtime), indent=2) + "\n")
+    _atomic_write(out_dir / "report.json", json.dumps(
+        {**dataclasses.asdict(report), "runtime_seconds": runtime}, indent=2) + "\n")
 
 
 # --- presets -------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Longitudinal grids carry N+7 stored nodes n = -3..N+3 (three exterior nodes on
 each side of the slab [0, Zmax]); the ghost nodes n = -4 and N+4 exist only as
 concepts eliminated into the boundary rows. Transverse grids are cell-centered
-so no node sits on the cylindrical axis.
+so no node sits on the cylindrical axis. A 1D grid is the single Cartesian
+column M = 1 of the multi-D scheme; every grid states its field shape.
 """
 
 from __future__ import annotations
@@ -74,11 +75,28 @@ class _Longitudinal:
 
 @dataclass(frozen=True)
 class Grid1D(_Longitudinal):
-    """Uniform longitudinal grid: nodes z_n = n*h for n = -3..N+3."""
+    """Uniform longitudinal grid: nodes z_n = n*h for n = -3..N+3, and the
+    single transverse column of the multi-D scheme (class constants, not
+    fields): one Cartesian node at x = 0 with a unit step."""
 
     N: int
     Zmax: float
     h: float
+
+    M = 1
+    h_perp = 1.0
+    geometry = "cartesian"
+
+    @property
+    def h_z(self) -> float:
+        return self.h
+
+    @property
+    def field_shape(self) -> tuple[int]:
+        return (self.num_nodes,)
+
+    def transverse_coords(self) -> np.ndarray:
+        return np.zeros(1)
 
 
 @dataclass(frozen=True)
@@ -101,6 +119,10 @@ class GridMultiD(_Longitudinal):
     def h(self) -> float:
         # longitudinal step, for APIs shared with Grid1D
         return self.h_z
+
+    @property
+    def field_shape(self) -> tuple[int, int]:
+        return (self.num_nodes, self.M)  # row-major in n, contiguous in m
 
     def transverse_coords(self) -> np.ndarray:
         m = np.arange(self.M, dtype=float) + 0.5
@@ -280,11 +302,8 @@ def sample_material(mat: MaterialStack, grid, n: int, side: str) -> tuple[float,
 # --- field containers -------------------------------------------------------
 
 def field_zeros(grid) -> np.ndarray:
-    """Zero complex field over the stored nodes: shape (N+7,) in 1D,
-    (N+7, M) in multi-D (row-major in n, contiguous in m)."""
-    if isinstance(grid, GridMultiD):
-        return np.zeros((grid.num_nodes, grid.M), dtype=np.complex128)
-    return np.zeros(grid.num_nodes, dtype=np.complex128)
+    """Zero complex field over the stored nodes, of the grid's field_shape."""
+    return np.zeros(grid.field_shape, dtype=np.complex128)
 
 
 def to_real_split(E: np.ndarray) -> np.ndarray:

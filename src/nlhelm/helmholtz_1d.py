@@ -1,14 +1,14 @@
 """One-dimensional nonlinear Helmholtz boundary-value problem.
 
-The slab is the single-column case of the multi-dimensional scheme:
-`Problem1D` is a `helmholtz_nd.HelmholtzProblem` on one transverse node
-with mirror closures on both walls. It has that problem's compact 4th-order
-rows in the layers and exterior, 7-node one-sided rows at material
-interfaces and two-way boundary rows, which inject the prescribed incoming
-waves while passing outgoing waves through the discrete dispersion root q;
-and its vacuum solve and separable inverse of A_lin. This module adds the
-1D front end, the closure data for R/T extraction, and an exact
-transfer-matrix oracle for linear stacks.
+The slab is the single-column case of the multi-dimensional scheme: a
+`Grid1D` is one Cartesian transverse node, and `Problem1D` is a
+`helmholtz_nd.HelmholtzProblem` assembled on it with mirror closures on both
+walls. It has that problem's compact 4th-order rows in the layers and
+exterior, 7-node one-sided rows at material interfaces and two-way boundary
+rows, which inject the prescribed incoming waves while passing outgoing waves
+through the discrete dispersion root q; and its vacuum solve and separable
+inverse of A_lin. This module adds the 1D front end, the closure data for R/T
+extraction, and an exact transfer-matrix oracle for linear stacks.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import solvers
 from .errors import OracleRequiresLinear
-from .fields import Grid1D, GridMultiD, MaterialStack
+from .fields import Grid1D, MaterialStack
 from .helmholtz_nd import HelmholtzProblem
 from .transverse import injection_weight, root_from_ksq
 
@@ -71,19 +71,15 @@ def characteristic_root(k0: float, h: float) -> Abc1DClosure:
 
 
 class Problem1D(HelmholtzProblem):
-    """The slab as the single-column multi-D problem: one transverse node
-    with mirror closures on both walls (the default at M = 1) and a unit
-    transverse step, so the mirrored transverse stencils cancel to rounding
-    level. The field keeps the 1D shape (N+7,); grid is the single column it
-    is assembled on, with the N, Zmax, h and node indexing of its Grid1D.
+    """The slab as the single-column multi-D problem on its Grid1D: one
+    transverse node with mirror closures on both walls (the default at
+    M = 1) and a unit transverse step, so the mirrored transverse stencils
+    cancel to rounding level. The field has the grid's shape (N+7,).
     """
 
     def __init__(self, grid: Grid1D, mat: MaterialStack, inc: Incoming1D):
-        column = GridMultiD(N=grid.N, Zmax=grid.Zmax, h_z=grid.h, M=1,
-                            extent=0.5, h_perp=1.0, geometry="cartesian")
-        super().__init__(column, mat, einc_left=np.array([inc.EincL]),
+        super().__init__(grid, mat, einc_left=np.array([inc.EincL]),
                          einc_right=np.array([inc.EincR]))
-        self.field_shape = (grid.num_nodes,)
 
     # defined here, not only inherited, so that perfbench/spans.py can time
     # the 1D vacuum solves apart from the multi-D ones

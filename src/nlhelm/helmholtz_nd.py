@@ -20,8 +20,8 @@ of material jumps and of nu != 1; where those are few (a nu = 1 slab: its
 two faces), `linear_inverse` applies A_lin^{-1} exactly by two vacuum
 solves and a small capacitance system on those rows. With M=1 and mirror
 closures on both walls every transverse block is a scalar and the system is
-the slab problem: `helmholtz_1d.Problem1D` is a HelmholtzProblem on that
-single column, so every geometry reaches the solvers as this one class.
+the slab problem: a `Grid1D` is that single column, and every geometry,
+`helmholtz_1d.Problem1D` included, reaches the solvers as this one class.
 
 Unknown ordering is n-major, m-minor; the real split interleaves (Re, Im)
 per node (see fields.to_real_split).
@@ -48,6 +48,7 @@ import scipy.sparse as sp
 from . import solvers
 from ._system import KerrSystem, kerr_block_entries
 from .fields import (
+    Grid1D,
     GridMultiD,
     MaterialStack,
     cell_material,
@@ -92,7 +93,7 @@ def mirror_invariant(x, mirror: np.ndarray) -> bool:
     return abs(y - x).max() <= solvers.CONTRACT_SCALE * abs(x).max()
 
 
-def _material_rows(grid: GridMultiD, mat: MaterialStack):
+def _material_rows(grid: GridMultiD | Grid1D, mat: MaterialStack):
     """Coefficients of the non-boundary rows n = -2 .. N+2, as arrays indexed
     by n+2: (W, eps, interface).
 
@@ -126,7 +127,7 @@ def _transverse_blocks(suite: TransverseSuite, eig: TransverseEigensystem,
             suite.interface_laplacian, boundary, compact)
 
 
-def _assemble(grid: GridMultiD, k0: float, W: np.ndarray, eps: np.ndarray,
+def _assemble(grid: GridMultiD | Grid1D, k0: float, W: np.ndarray, eps: np.ndarray,
               interface: np.ndarray, blocks: tuple, eig: TransverseEigensystem,
               einc_left: np.ndarray | None, einc_right: np.ndarray | None):
     """(A_lin, C, b) for the per-row coefficients of _material_rows.
@@ -181,7 +182,7 @@ class HelmholtzProblem(KerrSystem):
     algebra of KerrSystem plus the vacuum solve, the separable inverse of
     A_lin and the mirror fold that the solvers use."""
 
-    def __init__(self, grid: GridMultiD, mat: MaterialStack,
+    def __init__(self, grid: GridMultiD | Grid1D, mat: MaterialStack,
                  einc_left: np.ndarray | None = None,
                  einc_right: np.ndarray | None = None,
                  bottom: TransverseClosure | None = None,
@@ -198,8 +199,7 @@ class HelmholtzProblem(KerrSystem):
         A, C, b = _assemble(grid, mat.k0, *_material_rows(grid, mat),
                             self._blocks, self.eigensystem,
                             self.einc_left, self.einc_right)
-        super().__init__(A, C, b, mat.sigma,
-                         field_shape=(grid.num_nodes, grid.M))
+        super().__init__(A, C, b, mat.sigma, field_shape=grid.field_shape)
         self.mirror = self._section_mirror()
 
     def _section_mirror(self) -> np.ndarray | None:

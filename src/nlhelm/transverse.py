@@ -29,7 +29,7 @@ from scipy.special import hankel1
 
 from .errors import (DegenerateRoot, IllConditionedEigenbasis, SingularClosure,
                      UnresolvedWave)
-from .fields import GridMultiD
+from .fields import Grid1D, GridMultiD
 from .stencils import central
 
 __all__ = [
@@ -182,7 +182,7 @@ def _stencil_matrix(M: int, derivative: int, accuracy: int,
                     np.array(coeffs.offsets) + 2, shape=(M, M + 4), format="csr")
 
 
-def default_closures(grid: GridMultiD, k0: float,
+def default_closures(grid: GridMultiD | Grid1D, k0: float,
                      nu0: float = 1.0) -> tuple[TransverseClosure, TransverseClosure]:
     """Standard boundary treatment: radiating walls for a Cartesian section,
     symmetric axis plus radiating rim for a cylindrical one. Sections too
@@ -214,7 +214,7 @@ class TransverseSuite:
     bottom and top are the wall closures it was built with, defaults resolved.
     """
 
-    grid: GridMultiD
+    grid: GridMultiD | Grid1D
     bottom: TransverseClosure
     top: TransverseClosure
     extension: sp.csr_matrix
@@ -224,7 +224,7 @@ class TransverseSuite:
     row_coupler: sp.csr_matrix
 
 
-def build_transverse_suite(grid: GridMultiD, k0: float,
+def build_transverse_suite(grid: GridMultiD | Grid1D, k0: float,
                            bottom: TransverseClosure | None = None,
                            top: TransverseClosure | None = None) -> TransverseSuite:
     if bottom is None or top is None:

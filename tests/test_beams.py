@@ -17,15 +17,18 @@ import scipy.linalg
 from nlhelm import (
     AdjustmentUndefined,
     BeamSpec,
+    Incoming1D,
     MaterialStack,
     Layer,
     NonNestedGrids,
+    Problem1D,
     UnsupportedProfile,
     UnsupportedTilt,
     adjust_for_nls,
     build_grid_1d,
     build_grid_multi,
     critical_power_ratio,
+    field_zeros,
     grid_convergence_study,
     interpolate_field,
     make_incoming,
@@ -34,6 +37,7 @@ from nlhelm import (
     oscillation_spectrum,
     poynting_flux,
     soliton_profile,
+    solve,
 )
 from nlhelm.stencils import central
 
@@ -466,6 +470,34 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             grid_convergence_study([fields[0]], [grids[0]])
 
+    @pytest.mark.parametrize("M,extent,geometry", [
+        (12, 3.0, "cartesian"), (16, 4.0, "cartesian"), (16, 3.0, "cylindrical")],
+        ids=["M-not-doubled", "other-extent", "other-geometry"])
+    def test_transverse_not_nested_rejected(self, M, extent, geometry):
+        gc, gf = (quiet_grid(2.0, 16, 3.0, 8, "cartesian"),
+                  quiet_grid(2.0, 32, extent, M, geometry))
+        with pytest.raises(NonNestedGrids, match="transverse grids not nested: M 8->"):
+            grid_convergence_study([field_zeros(gc), field_zeros(gf)], [gc, gf])
+
+    def test_too_few_coarse_cells_rejected(self):
+        gc, gf = (quiet_grid(2.0, 16, 3.0, 2, "cartesian"),
+                  quiet_grid(2.0, 32, 3.0, 4, "cartesian"))
+        with pytest.raises(NonNestedGrids, match="at least 4 coarse cells"):
+            grid_convergence_study([field_zeros(gc), field_zeros(gf)], [gc, gf])
+
+    def test_problem_grids_give_the_grid_table(self):
+        # a Problem1D's grid is the Grid1D it was built on, so its solves
+        # feed the study as they are
+        mat = kerr_stack(0.05)
+        problems = [Problem1D(build_grid_1d(5.0, N), mat, Incoming1D(EincL=1.0))
+                    for N in (32, 64, 128)]
+        fields = [solve(p)[0] for p in problems]
+        table = grid_convergence_study(fields, [p.grid for p in problems])
+        assert table == grid_convergence_study(
+            fields, [build_grid_1d(5.0, N) for N in (32, 64, 128)])
+        assert table.levels == [(32, 1), (64, 1), (128, 1)]
+        assert table.rates[0] > 3.5
+
 
 class TestInterpolate:
     def test_linear_functions_exact_1d(self):
@@ -521,6 +553,18 @@ class TestInterpolate:
         assert np.array_equal(interpolate_field(E[:, 0], la, lb),
                               np.interp(zb, za, E[:, 0].real)
                               + 1j * np.interp(zb, za, E[:, 0].imag))
+
+    def test_1d_onto_cartesian_repeats_the_column(self):
+        # a Grid1D is the single cartesian column at x = 0, so resampling
+        # onto a wider section holds the column flat across it
+        la, gb = build_grid_1d(3.0, 16), quiet_grid(3.0, 32, 2.0, 8, "cartesian")
+        E = np.exp(1j * la.z_nodes())
+        out = interpolate_field(E, la, gb)
+        assert out.shape == gb.field_shape
+        column = interpolate_field(E, la, build_grid_1d(3.0, 32))
+        assert np.array_equal(out, np.repeat(column[:, None], 8, axis=1))
+        with pytest.raises(ValueError, match="between geometries"):
+            interpolate_field(E, la, quiet_grid(3.0, 32, 2.0, 8, "cylindrical"))
 
     def test_geometry_mismatch_rejected(self):
         ga = quiet_grid(3.0, 16, 2.0, 8, "cartesian")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from nlhelm import cli
 from nlhelm import (
     BeamSpec,
     ConfigError,
@@ -27,6 +28,7 @@ from nlhelm import (
 from nlhelm.solvers import HistoryEntry, SolveReport
 from nlhelm.cli import (
     _GEOMETRY_TAGS,
+    _atomic_write,
     _HEADER,
     MAGIC,
     PRESET_NAMES,
@@ -151,6 +153,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="solver"):
             load_config(path)
 
+    def test_non_object_config_rejected(self):
+        with pytest.raises(ConfigError, match="src.json: config must be a JSON object"):
+            parse_config([{"name": "x"}], source="src.json")
+
+    def test_multid_needs_a_column(self, tmp_path):
+        path, _ = write_config(tmp_path, geometry="cartesian", extent=4.0, M=0)
+        with pytest.raises(ConfigError, match="M: must be at least 1"):
+            load_config(path)
+
+    def test_non_object_layer_rejected(self, tmp_path):
+        path, _ = write_config(tmp_path, layers=[[0.0, 5.0, 1.0, 0.0]])
+        with pytest.raises(ConfigError, match=r"layers\[0\]: must be an object"):
+            load_config(path)
+
     def test_geometry_alias(self, tmp_path):
         path, _ = write_config(tmp_path, geometry="cartesian2d", extent=4.0, M=8)
         assert load_config(path).geometry == "cartesian"
@@ -182,6 +198,24 @@ class TestConfigParsing:
         )
         with pytest.raises(ConfigError, match="Zmax"):
             build_problem(load_config(path))
+
+    @pytest.mark.parametrize("over", [{}, dict(geometry="cartesian", extent=0.5, M=8)],
+                             ids=["1d", "cartesian"])
+    def test_beam_amplitude_defaults_to_one(self, tmp_path, over):
+        # one rule in every geometry: amplitude_re defaults to 1.0 and
+        # amplitude_im to 0.0; the absent right beam injects nothing
+        shape = {"shape": "sech", "r0": 0.25} if over else {}
+
+        def incoming(beam):
+            path, _ = write_config(tmp_path, **over, beam_left=beam)
+            problem = build_problem(load_config(path))[0]
+            return problem.einc_left, problem.einc_right
+
+        left, right = incoming(shape)
+        unit, _ = incoming({**shape, "amplitude_re": 1.0, "amplitude_im": 0.0})
+        assert left.tobytes() == unit.tobytes()
+        assert np.abs(left).max() > 0.5
+        assert right is None if over else right.tobytes() == bytes(16)
 
     def test_1d_beams_are_plane_waves_only(self, tmp_path):
         path, _ = write_config(tmp_path, beam_left={"shape": "sech", "r0": 1.0})
@@ -298,15 +332,24 @@ class TestFieldFile:
         assert (header["N"], header["h_perp"]) == (8, 0.0)
         assert E.shape == (15,)
 
+    def test_problem1d_field_on_problem_grid_round_trips(self, tmp_path):
+        # a Problem1D's grid is the Grid1D it was built on, so its solved
+        # field writes as a 1d file and reads back bit for bit
+        problem = Problem1D(
+            build_grid_1d(5.0, 64),
+            MaterialStack(k0=4.0, sigma=1.0, layers=(Layer(0.0, 5.0, 1.0, 0.05),)),
+            Incoming1D(EincL=1.0))
+        E, _ = solve(problem)
+        path = tmp_path / "field.bin"
+        write_field(path, E, problem.grid, 4.0)
+        header, back = read_field(path)
+        assert (header["geometry"], header["M"], header["h_perp"]) == ("1d", 1, 0.0)
+        assert back.tobytes() == E.tobytes()
+
     @pytest.mark.parametrize("grid,shape,fits", [
-        # a Problem1D's grid is its single column, on which a 1D field of
-        # shape (N+7,) would become a cartesian M = 1 file read as (N+7, 1)
-        (Problem1D(build_grid_1d(5.0, 64),
-                   MaterialStack(k0=4.0, sigma=1.0, layers=(Layer(0.0, 5.0, 1.0, 0.05),)),
-                   Incoming1D(EincL=1.0)).grid, (71,), (71, 1)),
         (build_grid_multi(5.0, 64, 1.0, 8, "cartesian"), (71,), (71, 8)),
         (build_grid_1d(5.0, 64), (71, 8), (71,)),
-    ], ids=["1d-field-on-problem-column", "1d-field-on-cartesian", "2d-field-on-1d"])
+    ], ids=["1d-field-on-cartesian", "2d-field-on-1d"])
     def test_field_not_fitting_grid_rejected(self, tmp_path, grid, shape, fits):
         path = tmp_path / "field.bin"
         with pytest.raises(ValueError, match=re.escape(
@@ -321,6 +364,17 @@ class TestFieldFile:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(ValueError, match="nodes"):
             read_field(path)
+
+
+class TestAtomicWrite:
+    def test_failed_rename_removes_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            _atomic_write(tmp_path / "out" / "report.json", "{}")
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestSolveCommand:
@@ -631,6 +685,23 @@ class TestCompareNlsCommand:
         # the two models track each other over this short propagation
         rows = np.array([list(map(float, ln.split(","))) for ln in lines[1:]])
         assert np.abs(rows[:, 1] - rows[:, 2]).max() < 0.1
+
+    def test_paraxial_blow_up_masks_the_rest(self, tmp_path, capsys, monkeypatch):
+        # past the z* of a march that blew up the paraxial column is NaN
+        march = cli.nls_march
+        monkeypatch.setattr(cli, "nls_march", lambda *args, **kwargs: dataclasses.replace(
+            march(*args, **kwargs), blew_up=True, z_star=1.0))
+        path, _ = write_config(
+            tmp_path, name="cmp", geometry="cartesian", Zmax=2.0, N=30, extent=6.0,
+            M=60, layers=[{"z_from": 0.0, "z_to": 2.0, "nu": 1.0, "eps": 0.0625}],
+            beam_left={"shape": "sech", "r0": math.sqrt(2.0)})
+        assert main(["compare-nls", str(path)]) == 0
+        lines = (tmp_path / "out" / "compare_nls.csv").read_text().splitlines()
+        rows = np.array([list(map(float, ln.split(","))) for ln in lines[1:]])
+        past = rows[:, 0] > 1.0
+        assert past.sum() == 15
+        assert np.isnan(rows[past, 2]).all() and np.isfinite(rows[~past]).all()
+        assert "blew up at z = 1" in capsys.readouterr().out
 
     def test_needs_multid_beam(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)

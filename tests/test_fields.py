@@ -1,5 +1,6 @@
 """Grid, material-stack, and field-container tests."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -73,6 +74,17 @@ class TestGrid1D:
         n = np.arange(-3, 1004)
         assert np.max(np.abs(grid.z_nodes() - n * grid.h)) == 0.0
 
+    def test_states_its_single_column(self):
+        grid = build_grid_1d(2.0, 8)
+        assert (grid.M, grid.h_perp, grid.geometry) == (1, 1.0, "cartesian")
+        assert grid.h_z == grid.h == 0.25
+        assert np.array_equal(grid.transverse_coords(), [0.0])
+        assert grid.field_shape == (15,)
+        # class constants, not fields: the dataclass still sees N, Zmax, h
+        assert dataclasses.asdict(grid) == {"N": 8, "Zmax": 2.0, "h": 0.25}
+        assert repr(grid) == "Grid1D(N=8, Zmax=2.0, h=0.25)"
+        assert dataclasses.replace(grid, N=16).M == 1
+
 
 class TestGridMultiD:
     def test_cartesian_cell_centers(self):
@@ -110,6 +122,15 @@ class TestGridMultiD:
     def test_bad_geometry_rejected(self):
         with pytest.raises(InvalidGrid):
             build_grid_multi(1.0, 8, 1.0, 4, "spherical")
+
+    @pytest.mark.parametrize("N,M,named", [(7, 4, "N must be at least 8, got 7"),
+                                           (8, 0, "M must be at least 1, got 0")])
+    def test_too_few_nodes_rejected(self, N, M, named):
+        with pytest.raises(InvalidGrid, match=named):
+            build_grid_multi(2.0, N, 1.0, M, "cartesian")
+
+    def test_field_shape(self):
+        assert build_grid_multi(2.0, 8, 1.0, 4, "cylindrical").field_shape == (15, 4)
 
     @pytest.mark.parametrize("Zmax,extent,name", [
         (np.inf, 1.0, "Zmax"), (2.0, np.inf, "extent"), (2.0, np.nan, "extent"),
@@ -161,6 +182,16 @@ class TestMaterialStack:
         assert mat.partition_points() == pytest.approx([0.0, 1.0, 3.0])
         assert mat.Zmax == 3.0
 
+    def test_empty_stack_rejected(self):
+        with pytest.raises(InvalidGrid, match="at least one layer"):
+            MaterialStack(k0=1.0, sigma=1.0, layers=())
+
+    @pytest.mark.parametrize("z_to", [1.0, 0.5])
+    def test_non_increasing_layer_rejected(self, z_to):
+        with pytest.raises(InvalidGrid, match="strictly increasing"):
+            MaterialStack(k0=1.0, sigma=1.0, layers=(
+                Layer(0.0, 1.0, 1.0, 0.0), Layer(1.0, z_to, 1.0, 0.0)))
+
     def test_is_linear(self):
         assert homogeneous_stack(1.0, 1.0).is_linear()
         assert not homogeneous_stack(1.0, 1.0, eps=0.1).is_linear()
@@ -192,6 +223,13 @@ class TestInterfaceNodes:
         mat = MaterialStack(k0=4.0, sigma=1.0, layers=(
             Layer(0.0, 0.6, 1.5, 0.0), Layer(0.6, 2.0, 2.0, 0.0)))
         assert interface_nodes(grid, mat) == [0, 3, 10]
+
+    def test_stack_ending_inside_grid_rejected(self):
+        # the partition ends on node 5 of a grid with N = 10
+        grid = build_grid_1d(2.0, 10)
+        with pytest.raises(InterfaceOffGrid, match="does not span") as exc_info:
+            interface_nodes(grid, homogeneous_stack(4.0, 1.0))
+        assert exc_info.value.position == 1.0
 
     def test_error_carries_position(self):
         grid = build_grid_1d(2.0, 10)
@@ -233,6 +271,12 @@ class TestClassifyNodes:
 
 
 class TestSampleMaterial:
+    @pytest.mark.parametrize("n", [-4, 14])
+    def test_node_outside_stored_range_rejected(self, n):
+        grid = build_grid_1d(2.0, 10)
+        with pytest.raises(ValueError, match=f"node {n} outside stored range"):
+            sample_material(homogeneous_stack(4.0, 2.0), grid, n, "right")
+
     def test_slab_one_sided_limits(self):
         grid = build_grid_1d(2.0, 10)
         mat = homogeneous_stack(4.0, 2.0, nu=1.5, eps=0.1)

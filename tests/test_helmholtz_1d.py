@@ -28,6 +28,7 @@ from nlhelm import (
     build_problem_1d,
     characteristic_root,
     extract_reflection_transmission,
+    field_zeros,
     homogeneous_stack,
     root_from_ksq,
     solve_1d,
@@ -351,6 +352,12 @@ class TestAssembly:
         problem = build_problem_1d(grid, mat, Incoming1D(EincL=1.0))
         row = problem.A_lin[grid.index(8)].toarray().ravel()
         assert np.count_nonzero(row) == 7
+
+    def test_problem_grid_is_the_given_grid(self):
+        grid = build_grid_1d(5.0, 64)
+        problem = build_problem_1d(grid, slab(1.5, eps=0.05), Incoming1D(EincL=1.0))
+        assert problem.grid is grid
+        assert field_zeros(problem.grid).shape == problem.field_shape == (71,)
 
     def test_matched_partition_point_stays_compact(self):
         # splitting a uniform slab in two must not change the operator

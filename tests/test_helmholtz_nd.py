@@ -16,6 +16,7 @@ import scipy.sparse as sp
 
 from nlhelm import (
     BeamSpec,
+    GridMultiD,
     HelmholtzProblem,
     Incoming1D,
     Layer,
@@ -493,6 +494,26 @@ class TestSlabReduction:
         assert np.abs((nd.A_lin - oned.A_lin).toarray()).max() < 1e-12
         assert np.abs((nd.C - oned.C).toarray()).max() < 1e-12
         assert np.abs(nd.b - oned.b).max() < 1e-12
+
+    def test_grid_1d_is_the_single_column(self):
+        # a Grid1D assembles as given: bit for bit the system of Problem1D
+        # and of the explicit M = 1 column, on the 1D field shape
+        grid = build_grid_1d(5.0, 40)
+        mat = MaterialStack(k0=K0, sigma=1.0, layers=(
+            Layer(0.0, 2.5, 1.5, 0.0), Layer(2.5, 5.0, 1.0, 0.0625)))
+        EincL, EincR = 1.0 - 0.5j, -0.25
+        slab = HelmholtzProblem(grid, mat, [EincL], [EincR])
+        column = GridMultiD(N=40, Zmax=5.0, h_z=grid.h, M=1, extent=0.5,
+                            h_perp=1.0, geometry="cartesian")
+        for other in (Problem1D(grid, mat, Incoming1D(EincL=EincL, EincR=EincR)),
+                      HelmholtzProblem(column, mat, [EincL], [EincR])):
+            for name in ("A_lin", "C"):
+                A, B = getattr(slab, name), getattr(other, name)
+                assert np.array_equal(A.indptr, B.indptr)
+                assert np.array_equal(A.indices, B.indices)
+                assert A.data.tobytes() == B.data.tobytes()
+            assert slab.b.tobytes() == other.b.tobytes()
+        assert slab.field_shape == (grid.N + 7,)
 
 
 class TestMaterialRows:

@@ -1,4 +1,5 @@
-"""Print one digest line per solve that the benchmark workloads make.
+"""Print one digest line per solve that the benchmark workloads make, and
+one per output file of two small `nlhelm solve` runs.
 
     python3 tools/solve_digest.py [--seed N] > digest.txt
 
@@ -9,15 +10,24 @@ runs it. Every solvers.solve call prints
 
     <workload> <index> <sha256 of the field bytes> <sha256 of repr(report)>
 
-so two checkouts give bitwise-identical fields and SolveReports exactly when
-their outputs diff empty. Failed workload checks go to standard error, and
-the exit status is then 1.
+Then cli.main(["solve", ...]) runs, in a temporary directory, on a small 1D
+and a small Cartesian config (CLI_CONFIGS), and every output file but
+report.json, which holds the runtime, prints
+
+    cli <config name> <file name> <sha256 of the file>
+
+so two checkouts give bitwise-identical fields, SolveReports and CLI outputs
+exactly when their outputs diff empty. Failed workload checks and failed CLI
+runs go to standard error, and the exit status is then 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import json
 import os
 import runpy
 import sys
@@ -25,6 +35,21 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# each beam states its amplitude, whose default has differed between
+# geometries; the 1D config leaves its right beam absent
+CLI_CONFIGS = [
+    {"name": "slab-1d", "geometry": "1d", "Zmax": 5.0, "N": 64, "k0": 4.0,
+     "sigma": 1.0,
+     "layers": [{"z_from": 0.0, "z_to": 2.5, "nu": 1.5, "eps": 0.0},
+                {"z_from": 2.5, "z_to": 5.0, "nu": 1.0, "eps": 0.05}],
+     "beam_left": {"amplitude_re": 1.0, "amplitude_im": 0.25}},
+    {"name": "sech-cart", "geometry": "cartesian", "Zmax": 2.0, "N": 30,
+     "extent": 6.0, "M": 60, "k0": 4.0, "sigma": 1.0,
+     "layers": [{"z_from": 0.0, "z_to": 2.0, "nu": 1.0, "eps": 0.0625}],
+     "beam_left": {"shape": "sech", "r0": 1.5, "amplitude_re": 1.0,
+                   "amplitude_im": 0.0, "adjust": True}},
+]
 
 
 def _sha(data: bytes) -> str:
@@ -65,7 +90,38 @@ def main(argv=None) -> int:
         for failure in rec.failures:
             print(f"{name}: {failure}", file=sys.stderr)
         failed += rec.failed
-    return 1 if failed else 0
+    cli_ok = _digest_cli()
+    return 1 if failed or not cli_ok else 0
+
+
+def _digest_cli() -> bool:
+    """Digest the output files of `nlhelm solve` on each of CLI_CONFIGS;
+    returns whether every run converged (exit status 0)."""
+    from nlhelm import cli
+
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        for cfg in CLI_CONFIGS:
+            out = Path(tmp) / cfg["name"]
+            path = Path(tmp) / f"{cfg['name']}.json"
+            # the output directory is relative, as the config lands in
+            # field.meta.json; the run's own message is not digested
+            path.write_text(json.dumps({**cfg, "output_dir": cfg["name"]}))
+            cwd = os.getcwd()
+            os.chdir(tmp)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(["solve", str(path)])
+            finally:
+                os.chdir(cwd)
+            if code != 0:
+                print(f"cli {cfg['name']}: exit status {code}", file=sys.stderr)
+                ok = False
+            for file in sorted(out.iterdir()) if out.is_dir() else ():
+                if file.name != "report.json":
+                    print("cli", cfg["name"], file.name, _sha(file.read_bytes()),
+                          flush=True)
+    return ok
 
 
 if __name__ == "__main__":
