@@ -141,7 +141,12 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
     cfg = RunConfig(**data)
     if cfg.geometry not in _GEOMETRY_TAGS:
         raise ConfigError(f"{source}: geometry: unknown value {cfg.geometry!r}")
-    if cfg.geometry != "1d":
+    if cfg.geometry == "1d":  # one column: M and extent would be ignored
+        for key, want in (("M", 1), ("extent", None)):
+            if getattr(cfg, key) != want:
+                raise ConfigError(f"{source}: {key}: must be {json.dumps(want)} "
+                                  f"for a 1d run, got {getattr(cfg, key)}")
+    else:
         if cfg.extent is None:
             raise ConfigError(f"{source}: extent: required for multi-D runs")
         if cfg.M < 1:

@@ -17,11 +17,13 @@ only. The same eigenbasis splits the uniform vacuum operator into M
 tridiagonal systems, which `vacuum_solve` factors once per problem and
 applies on each call. A_lin differs from that operator only on the rows
 of material jumps and of nu != 1; where those are few (a nu = 1 slab: its
-two faces), `linear_inverse` applies A_lin^{-1} exactly by two vacuum
-solves and a small capacitance system on those rows. With M=1 and mirror
-closures on both walls every transverse block is a scalar and the system is
-the slab problem: a `Grid1D` is that single column, and every geometry,
-`helmholtz_1d.Problem1D` included, reaches the solvers as this one class.
+two faces), `linear_inverse` applies A_lin^{-1} exactly in the same
+eigenbasis: one transform pair and one tridiagonal solve, plus a rank-k
+correction from the per-mode Green's functions at those rows and a small
+capacitance system. With M=1 and mirror closures on both walls every
+transverse block is a scalar and the system is the slab problem: a
+`Grid1D` is that single column, and every geometry, `helmholtz_1d.Problem1D`
+included, reaches the solvers as this one class.
 
 Unknown ordering is n-major, m-minor; the real split interleaves (Re, Im)
 per node (see fields.to_real_split).
@@ -270,10 +272,10 @@ class HelmholtzProblem(KerrSystem):
 
     @cached_property
     def _vacuum_inverse(self):
-        """(forward transform, gttrf factor, back transform) of vacuum_solve,
-        built on first use. The factor is that of the M per-mode tridiagonal
-        systems stacked mode-major; zero off-diagonals between mode blocks
-        uncouple them."""
+        """(forward transform, gttrf factor, back transform) of vacuum_solve
+        and linear_inverse, built on first use. The factor is that of the M
+        per-mode tridiagonal systems stacked mode-major; zero off-diagonals
+        between mode blocks uncouple them."""
         eig, R, h, k0 = self.eigensystem, self.grid.num_nodes, self.grid.h_z, self.k0
         c = (1.0 + k0 * k0 * h * h / 12.0) / (h * h)
         off = np.full(eig.M * R - 1, c, dtype=np.complex128)
@@ -287,43 +289,55 @@ class HelmholtzProblem(KerrSystem):
 
     @cached_property
     def _capacitance(self):
-        """(rows r, D_r, LU of S) of the capacitance method for A_lin, built
-        on first use, or None where it declines.
+        """(support rows Q, D_r on them, G, LU of S) of the capacitance
+        method, built on first use, or None where it declines.
 
-        A_lin = A0 + E_r D_r, with r the rows where D = A_lin - A0 is nonzero,
-        D_r those rows of D and E_r the identity columns r; then
+        A_lin = A0 + E_r D_r, with r every node of the longitudinal rows P
+        where D = A_lin - A0 is nonzero and E_r the identity columns r; then
         A_lin^{-1} = A0^{-1} - A0^{-1} E_r S^{-1} D_r A0^{-1} with the k x k
-        capacitance S = I + D_r A0^{-1} E_r (k = len(r)). S is filled one
-        column, and so one vacuum solve, at a time: no n x k block is held (a
-        multi-column vacuum solve is no faster per column). Declined when S
-        would not be small next to A_lin: k^2 > A_lin.nnz, as for a nu != 1
-        interior or a dense grating."""
+        capacitance S = I + D_r A0^{-1} E_r (k = M len(P)). In the transverse
+        eigenbasis V, A0^{-1} E_r is the per-mode Green's functions
+        G[l, :, j] = g_l(., P[j]), one tridiagonal solve; D_r reads only the
+        rows Q, so column block j of S - I is the sum over q in Q of
+        D_r[:, q] V diag(G[:, q, j]) V^{-1}. No vacuum solve is made.
+        Declined when S would not be small next to A_lin: k^2 > A_lin.nnz,
+        as for a nu != 1 interior or a dense grating."""
+        M, R, eig = self.grid.M, self.grid.num_nodes, self.eigensystem
         D = (self.A_lin - self.vacuum_operator()).tocsr()
-        rows = np.flatnonzero(np.diff(D.indptr))
-        k = rows.size
+        P = np.unique(np.flatnonzero(np.diff(D.indptr)) // M)
+        p, k = P.size, P.size * M
         if k * k > self.A_lin.nnz:
             return None
-        D_r = D[rows]
-        S = np.identity(k, dtype=np.complex128)
-        unit = np.zeros(self.size, dtype=np.complex128)
-        for j, r in enumerate(rows):
-            unit[r] = 1.0
-            S[:, j] += D_r @ self.vacuum_solve(unit)
-            unit[r] = 0.0
-        return rows, D_r, scipy.linalg.lu_factor(S)
+        D_r = D[np.ravel(P[:, None] * M + np.arange(M))]
+        Q = np.unique(D_r.indices // M)
+        D_r = D_r[:, np.ravel(Q[:, None] * M + np.arange(M))].toarray()
+        units = np.zeros((M, R, p), dtype=np.complex128)
+        units[:, P, np.arange(p)] = 1.0
+        G, _ = scipy.linalg.lapack.zgttrs(*self._vacuum_inverse[1], units.reshape(-1, p))
+        G = G.reshape(M, R, p)
+        DV = D_r.reshape(k, -1, M) @ eig.modes
+        S = (np.einsum("kql,lqj->kjl", DV, G[:, Q]) @ eig.modes_inverse).reshape(k, k)
+        return Q, D_r, G, scipy.linalg.lu_factor(S + np.identity(k))
 
     def linear_inverse(self):
         """A_lin^{-1} by the capacitance method (see _capacitance) as a
         function of a complex vector, or None where it declines; set up on
-        the first call. Each application makes two vacuum solves."""
+        the first call. Between one forward and one back transform, an
+        application is a tridiagonal solve less G V^{-1} S^{-1} D_r on rows Q."""
         if self._capacitance is None:
             return None
-        rows, D_r, S = self._capacitance
+        Q, D_r, G, S = self._capacitance
+        forward, factor, back = self._vacuum_inverse
+        R, M = self.grid.num_nodes, self.grid.M
 
         def solve(rhs: np.ndarray) -> np.ndarray:
-            z = rhs.copy()
-            z[rows] -= scipy.linalg.lu_solve(S, D_r @ self.vacuum_solve(rhs))
-            return self.vacuum_solve(z)
+            U = rhs.reshape(R, M) @ forward
+            y, _ = scipy.linalg.lapack.zgttrs(*factor, U.T.reshape(-1))
+            y = y.reshape(M, R)
+            z = scipy.linalg.lu_solve(S, D_r @ (y[:, Q].T @ back).reshape(-1))
+            a = z.reshape(-1, M) @ forward
+            y -= (G @ a.T[:, :, None])[..., 0]
+            return (y.T @ back).reshape(-1)
 
         return solve
 

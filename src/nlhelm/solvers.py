@@ -26,8 +26,9 @@ at most one factor and its directions are alive.
 
 Cold start: from e = 0 the Jacobian is real_split(A_lin), and where the
 system has an exact inverse of A_lin that needs no sparse factor
-(HelmholtzProblem.linear_inverse: on a nu = 1 slab, two vacuum solves and a
-capacitance correction on the slab-face rows) newton_solve hands it to
+(HelmholtzProblem.linear_inverse: on a nu = 1 slab, the vacuum solve's
+transform pair and tridiagonal solve with a capacitance correction in mode
+space on the slab-face rows) newton_solve hands it to
 _LinearSolve as the first live factor, applied through a complex view of
 the real-split vectors (_SeparableFactor). The first step is then solved as
 any reuse step is: from the inverse's solution, by GCROT if that misses the

@@ -587,9 +587,12 @@ class TestSolveCommand:
           "layers": [{"z_from": 0.0, "z_to": math.inf, "nu": 1.5, "eps": 0.0}]},
          "layers[0].z_to must be finite, got inf"),
         ({**_MULTID, "M": 48, "extent": math.inf}, "extent must be positive and finite, got inf"),
+        # a 1d run is one column and would ignore them
+        ({"M": 8}, "M: must be 1 for a 1d run, got 8"),
+        ({"extent": 3.0}, "extent: must be null for a 1d run, got 3.0"),
     ], ids=["layer-key", "Zmax", "beam-key", "1d-beam", "beam-shape", "no-shape",
             "stack-start", "k0-nan", "sigma-inf", "nu-nan", "eps-minus-inf", "z_to-inf",
-            "extent-inf"])
+            "extent-inf", "1d-M", "1d-extent"])
     def test_config_error_names_file_and_field(self, tmp_path, capsys, over, named):
         path, _ = write_config(tmp_path, **over)
         assert main(["solve", str(path)]) == 1

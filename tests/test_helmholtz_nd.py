@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from nlhelm import (
     BeamSpec,
@@ -251,7 +252,27 @@ class TestKerrBlocks:
         for got, want in zip(entries, closed):
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("sigma", [1.0, 2.0])
+    def test_sub_cubic_block_is_zero_with_a_warning_at_zero_only(self):
+        # for 0 < sigma < 1 the derivative is singular at E = 0: that node
+        # gets a zero block and a warning, every other node its closed form
+        e = np.array([0.0, 1.0 + 1.0j, 0.3 - 0.2j])
+        with pytest.warns(UserWarning, match="singular at E=0"):
+            a, b, c = kerr_block_entries(e, 0.5)
+        assert (a[0], b[0], c[0]) == (0.0, 0.0, 0.0)
+        amp = np.abs(e[1:]) ** 2
+        er, ei = e[1:].real, e[1:].imag
+        assert a[1:] == pytest.approx(amp ** 0.5 + er * er / amp ** 0.5)
+        assert b[1:] == pytest.approx(er * ei / amp ** 0.5)
+        assert c[1:] == pytest.approx(amp ** 0.5 + ei * ei / amp ** 0.5)
+        with pytest.warns(UserWarning, match="singular at E=0"):
+            assert np.array_equal(kerr_jacobian_block(0.0, 0.5), np.zeros((2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = kerr_jacobian_block(1.0 + 1.0j, 0.5)
+        assert np.isfinite(block).all()
+        assert block == pytest.approx(np.array([[1.5, 0.5], [0.5, 1.5]]) * math.sqrt(2.0))
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     def test_block_matches_finite_differences(self, sigma):
         rng = np.random.default_rng(5)
         t = 1e-7
@@ -597,32 +618,43 @@ class TestVacuumSolve:
         assert calls == [grid.num_nodes * grid.M, slab.grid.num_nodes]
 
 
-def kerr_slab(geometry="cartesian", extent=6.0, nu=1.0, right=False):
+def kerr_slab(geometry="cartesian", extent=6.0, nu=1.0, right=False, split=False):
     """32 x 12 Kerr slab (eps = 1/16) under a Gaussian beam, optionally with a
-    second beam of half the amplitude entering through the right face."""
-    mat = MaterialStack(k0=K0, sigma=1.0, layers=(Layer(0.0, 4.0, nu, 0.0625),))
+    second beam of half the amplitude entering through the right face. With
+    split, eps drops to 1/32 at z = 2, a jump that adds an interior interface
+    row to the two face rows where A_lin departs from the vacuum operator."""
+    layers = ((Layer(0.0, 2.0, nu, 0.0625), Layer(2.0, 4.0, nu, 0.03125)) if split
+              else (Layer(0.0, 4.0, nu, 0.0625),))
+    mat = MaterialStack(k0=K0, sigma=1.0, layers=layers)
     grid = quiet_grid(4.0, 32, extent, 12, geometry)
     beam = np.exp(-(grid.transverse_coords() / 1.5) ** 2).astype(complex)
     return HelmholtzProblem(grid, mat, einc_left=beam,
                             einc_right=0.5 * beam if right else None)
 
 
+def inverse_case(case):
+    if case == "half_section":
+        return TestSectionMirror.beam_problem().half_section()
+    if case == "slab_1d":
+        mat = MaterialStack(k0=K0, sigma=1.0, layers=(Layer(0.0, 4.0, 1.0, 0.0625),))
+        return Problem1D(build_grid_1d(4.0, 32), mat, Incoming1D(EincL=1.0))
+    return kerr_slab(**case)
+
+
+INVERSE_CASES = [
+    dict(geometry="cartesian", extent=6.0),
+    dict(geometry="cylindrical", extent=4.0),
+    dict(right=True),
+    "half_section",
+    "slab_1d",
+]
+INVERSE_IDS = ["cartesian", "cylindrical", "einc-right", "half-section", "slab-1d"]
+
+
 class TestLinearInverse:
-    @pytest.mark.parametrize("case", [
-        dict(geometry="cartesian", extent=6.0),
-        dict(geometry="cylindrical", extent=4.0),
-        dict(right=True),
-        "half_section",
-        "slab_1d",
-    ], ids=["cartesian", "cylindrical", "einc-right", "half-section", "slab-1d"])
+    @pytest.mark.parametrize("case", INVERSE_CASES, ids=INVERSE_IDS)
     def test_meets_sparse_lu_contract_against_A_lin(self, case):
-        if case == "half_section":
-            problem = TestSectionMirror.beam_problem().half_section()
-        elif case == "slab_1d":
-            mat = MaterialStack(k0=K0, sigma=1.0, layers=(Layer(0.0, 4.0, 1.0, 0.0625),))
-            problem = Problem1D(build_grid_1d(4.0, 32), mat, Incoming1D(EincL=1.0))
-        else:
-            problem = kerr_slab(**case)
+        problem = inverse_case(case)
         A = problem.A_lin
         # the slab faces are where A_lin departs from the vacuum operator
         assert (A - problem.vacuum_operator()).count_nonzero() > 0
@@ -634,24 +666,52 @@ class TestLinearInverse:
             assert solvers._contract_violation(A, np.abs(A).sum(axis=1).max(),
                                                x, rhs) is None
 
-    def test_set_up_once_then_two_vacuum_solves_per_application(self, monkeypatch):
-        calls = []
-        vacuum_solve = HelmholtzProblem.vacuum_solve
+    @pytest.mark.parametrize("case", [
+        *INVERSE_CASES, dict(split=True),
+        dict(geometry="cylindrical", extent=4.0, split=True),
+    ], ids=[*INVERSE_IDS, "two-eps-cartesian", "two-eps-cylindrical"])
+    def test_equals_direct_sparse_solve(self, case):
+        problem = inverse_case(case)
+        M = problem.grid.M
+        rows = np.unique((problem.A_lin - problem.vacuum_operator()).tocoo().row // M)
+        # the two faces, and an interface row where eps jumps inside the slab
+        assert rows.size == (3 if "split" in case else 2)
+        inverse = problem.linear_inverse()
+        rng = np.random.default_rng(13)
+        noise = rng.normal(size=problem.size) + 1j * rng.normal(size=problem.size)
+        for rhs in (problem.b, noise):
+            want = spla.spsolve(problem.A_lin.tocsc(), rhs)
+            assert np.abs(inverse(rhs) - want).max() <= 1e-12 * np.abs(want).max()
 
-        def spy(self, rhs):
-            calls.append(rhs.size)
+    def test_set_up_once_then_one_tridiagonal_solve_per_application(self, monkeypatch):
+        # the capacitance set-up and each application work in the transverse
+        # eigenbasis on the vacuum factor: no vacuum solve is made
+        vacuum_calls, solves = [], []
+        vacuum_solve = HelmholtzProblem.vacuum_solve
+        zgttrs = scipy.linalg.lapack.zgttrs
+
+        def spy_vacuum(self, rhs):
+            vacuum_calls.append(rhs.size)
             return vacuum_solve(self, rhs)
 
-        monkeypatch.setattr(HelmholtzProblem, "vacuum_solve", spy)
+        def spy_zgttrs(*args, **kwargs):
+            solves.append(np.shape(args[5]))
+            return zgttrs(*args, **kwargs)
+
+        monkeypatch.setattr(HelmholtzProblem, "vacuum_solve", spy_vacuum)
+        monkeypatch.setattr(scipy.linalg.lapack, "zgttrs", spy_zgttrs)
         problem = kerr_slab()
         inverse = problem.linear_inverse()
-        # one vacuum solve per capacitance column: a row of each face
-        assert calls == [problem.size] * 2 * problem.grid.M
-        calls.clear()
+        # the Green's functions of every mode at both face rows: one solve
+        # with a right-hand side per face
+        assert solves == [(problem.size, 2)]
+        solves.clear()
         x = inverse(problem.b)
+        assert solves == [(problem.size,)]
         # set up once per problem
         assert np.array_equal(problem.linear_inverse()(problem.b), x)
-        assert calls == [problem.size] * 4
+        assert solves == [(problem.size,)] * 2
+        assert vacuum_calls == []
 
     def test_declines_on_a_dense_interior(self):
         # nu = 1.5 makes every slab row differ from the vacuum operator

@@ -1,7 +1,7 @@
 """Print one digest line per solve that the benchmark workloads make, and
 one per output file of two small `nlhelm solve` runs.
 
-    python3 tools/solve_digest.py [--seed N] > digest.txt
+    python3 tools/solve_digest.py [--seed N] [--fields DIR] > digest.txt
 
 Imports nlhelm from this checkout's src/ and reads perfbench/workloads.py by
 path (nothing is written under perfbench/). Each workload is built and run
@@ -19,6 +19,14 @@ report.json, which holds the runtime, prints
 so two checkouts give bitwise-identical fields, SolveReports and CLI outputs
 exactly when their outputs diff empty. Failed workload checks and failed CLI
 runs go to standard error, and the exit status is then 1.
+
+With --fields DIR every workload solve also saves its field as
+DIR/<workload>-<index>.npy (DIR is created if missing), so where two
+checkouts' digests differ their fields can be compared to a stated relative
+tolerance, e.g. for one solve
+
+    a, b = np.load("old/soliton-cart-0.npy"), np.load("new/soliton-cart-0.npy")
+    abs(a - b).max() / abs(a).max() <= 1e-12
 """
 
 from __future__ import annotations
@@ -59,10 +67,15 @@ def _sha(data: bytes) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="digest every benchmark solve")
     parser.add_argument("--seed", type=int, default=3)
+    parser.add_argument("--fields", type=Path, metavar="DIR",
+                        help="also save each workload solve's field as DIR/<workload>-<index>.npy")
     args = parser.parse_args(argv)
+    if args.fields is not None:
+        args.fields.mkdir(parents=True, exist_ok=True)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # must precede the first numpy import
     sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
     from nlhelm import solvers
 
     workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"),
@@ -77,6 +90,8 @@ def main(argv=None) -> int:
             E, report = solve(*a, **kw)
             field = _sha(E.astype("<c16").tobytes())
             print(name, index, field, _sha(repr(report).encode()), flush=True)
+            if args.fields is not None:
+                np.save(args.fields / f"{name}-{index}.npy", E)
             index += 1
             return E, report
 
