@@ -112,7 +112,7 @@ _BEAM_FIELDS = {"shape": "str", "r0": "float | None", "width": "float | None",
                 "samples": "list | None", "amplitude_re": "float",
                 "amplitude_im": "float", "center": "float", "tilt_angle": "float",
                 "adjust": "bool"}
-_LAYER_FIELDS = ("z_from", "z_to", "nu", "eps")
+_LAYER_FIELDS = tuple(f.name for f in dataclasses.fields(Layer))
 
 
 def _check_kind(value, kind: str, field: str, source: str):
@@ -202,31 +202,24 @@ def _amplitude(beam: dict) -> complex:
     return complex(beam.get("amplitude_re", 1.0), beam.get("amplitude_im", 0.0))
 
 
-def _beam_spec(beam: dict, side: str, source: str) -> BeamSpec:
+def _incoming(beam: dict, side: str, grid, mat, source: str) -> np.ndarray:
+    """A multi-D config beam sampled on the grid; its errors, from building
+    the BeamSpec or sampling it, name source and the beam."""
     if "shape" not in beam:
         raise ConfigError(f"{source}: beam_{side}: missing field 'shape'")
-    samples = beam.get("samples")
+    kwargs = {k: v for k, v in beam.items() if k not in ("amplitude_re", "amplitude_im")}
     try:
-        return BeamSpec(
-            shape=beam["shape"],
-            r0=beam.get("r0"),
-            width=beam.get("width"),
-            samples=None if samples is None else np.asarray(samples, dtype=complex),
-            amplitude=_amplitude(beam),
-            center=beam.get("center", 0.0),
-            tilt_angle=beam.get("tilt_angle", 0.0),
-            side=side,
-            adjust=beam.get("adjust", False),
-        )
-    except ValueError as exc:
+        if kwargs.get("samples") is not None:
+            kwargs["samples"] = np.asarray(kwargs["samples"], dtype=complex)
+        spec = BeamSpec(**kwargs, amplitude=_amplitude(beam), side=side)
+        return make_incoming(spec, grid, mat)
+    except (ValueError, NlhError) as exc:
         raise ConfigError(f"{source}: beam_{side}: {exc}") from exc
 
 
 def _material(cfg: RunConfig) -> MaterialStack:
-    layers = tuple(
-        Layer(float(l["z_from"]), float(l["z_to"]), float(l["nu"]), float(l["eps"]))
-        for l in cfg.layers
-    )
+    # parse_config has checked that each layer has exactly Layer's fields
+    layers = tuple(Layer(**{k: float(v) for k, v in l.items()}) for l in cfg.layers)
     return MaterialStack(k0=float(cfg.k0), sigma=float(cfg.sigma), layers=layers)
 
 
@@ -246,9 +239,7 @@ def build_problem(cfg: RunConfig, source: str = "<config>"):
         beam = getattr(cfg, f"beam_{side}")
         if cfg.geometry == "1d":  # a plane wave; an absent one has amplitude 0
             return np.array([0j if beam is None else _amplitude(beam)])
-        if beam is None:
-            return None
-        return make_incoming(_beam_spec(beam, side, source), grid, mat)
+        return None if beam is None else _incoming(beam, side, grid, mat, source)
 
     problem = HelmholtzProblem(grid, mat, incoming("left"), incoming("right"))
     return problem, grid, mat, cfg.newton_config()
@@ -271,10 +262,9 @@ def _atomic_write(path: Path, data: bytes | str):
 
 def _grid_header(grid, k0: float) -> dict:
     """The grid facts a field file carries, as read_field returns them."""
-    if isinstance(grid, GridMultiD):
-        return {"geometry": grid.geometry, "N": grid.N, "M": grid.M,
-                "h_z": grid.h_z, "h_perp": grid.h_perp, "k0": k0}
-    return {"geometry": "1d", "N": grid.N, "M": 1, "h_z": grid.h, "h_perp": 0.0, "k0": k0}
+    multi = isinstance(grid, GridMultiD)  # a 1d field carries no transverse step
+    return {"geometry": grid.geometry if multi else "1d", "N": grid.N, "M": grid.M,
+            "h_z": grid.h_z, "h_perp": grid.h_perp if multi else 0.0, "k0": k0}
 
 
 def write_field(path, E: np.ndarray, grid, k0: float) -> None:
@@ -364,7 +354,7 @@ def write_outputs(out_dir: Path, cfg: RunConfig, E: np.ndarray, grid, mat,
         flux = poynting_flux(E, grid, mat.k0)
         # a 1D field and its S_z read as their single column
         axis = on_axis_index(grid)
-        amp_sq = np.abs(E.reshape(len(E), -1)[flux.n + 3, axis]) ** 2
+        amp_sq = np.abs(E.reshape(len(E), -1)[grid.index(flux.n), axis]) ** 2
         s_axis = flux.S_z.reshape(len(flux.n), -1)[:, axis]
     _atomic_write(
         out_dir / "on_axis.csv",
@@ -491,15 +481,15 @@ def compare_nls(config_path) -> int:
         raise ConfigError("compare-nls needs a multi-D config with a left beam")
     problem, grid, mat, solver_cfg = build_problem(cfg, str(config_path))
     E, report = solvers.solve(problem, config=solver_cfg, method=cfg.solver)
-    raw_beam = dict(cfg.beam_left)
-    raw_beam["adjust"] = False
-    nls_initial = make_incoming(_beam_spec(raw_beam, "left", str(config_path)), grid, mat)
+    nls_initial = _incoming({**cfg.beam_left, "adjust": False}, "left", grid, mat,
+                            str(config_path))
     first_layer = mat.layers[0]
     result = nls_march(grid, mat.k0, first_layer.eps, mat.sigma,
                        nls_initial, dz=grid.h_z)
     axis = on_axis_index(grid)
-    z_nodes = np.arange(0, grid.N + 1) * grid.h_z
-    nlh_axis = np.abs(E[np.arange(0, grid.N + 1) + 3, axis])
+    n = np.arange(grid.N + 1)
+    z_nodes = grid.z(n)
+    nlh_axis = np.abs(E[grid.index(n), axis])
     nls_axis = np.interp(z_nodes, result.z, np.abs(result.on_axis))
     if result.blew_up:
         nls_axis[z_nodes > result.z_star] = np.nan

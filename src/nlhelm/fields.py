@@ -68,8 +68,8 @@ class _Longitudinal:
     def z_nodes(self) -> np.ndarray:
         return np.arange(-3, self.N + 4, dtype=float) * self.h
 
-    def index(self, n: int) -> int:
-        """Storage index of longitudinal node n (n = -3 maps to 0)."""
+    def index(self, n: int | np.ndarray) -> int | np.ndarray:
+        """Storage index of longitudinal node(s) n (n = -3 maps to 0)."""
         return n + 3
 
 

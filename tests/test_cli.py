@@ -574,6 +574,16 @@ class TestSolveCommand:
          "beam_left: unknown beam shape 'triangle'"),
         ({**_MULTID, "M": 48, "beam_left": {"width": 1.0}},
          "beam_left: missing field 'shape'"),
+        # raised while the beams are sampled on the grid
+        ({**_MULTID, "M": 48, "beam_left": {"shape": "custom", "samples": [1.0, 1.0, 1.0]}},
+         "beam_left: custom beam has 3 samples, grid has 48"),
+        ({**_MULTID, "geometry": "cylindrical", "M": 24,
+          "beam_left": {"shape": "gaussian", "width": 1.0, "tilt_angle": 0.1}},
+         "beam_left: tilted beams break cylindrical symmetry"),
+        ({**_MULTID, "M": 48, "layers": [{"z_from": 0.0, "z_to": 5.0, "nu": 1.0, "eps": -2.0}],
+          "beam_left": {"shape": "gaussian", "width": 1.0, "adjust": True}},
+         "beam_left: defocusing nonlinearity too strong: negative radicand in the "
+         "amplitude adjustment"),
         ({"Zmax": 4.0, "layers": [{"z_from": 1.0, "z_to": 4.0, "nu": 1.5, "eps": 0.0}]},
          "first layer must start at z=0"),
         # JSON as Python reads it takes NaN and Infinity
@@ -591,7 +601,7 @@ class TestSolveCommand:
         ({"M": 8}, "M: must be 1 for a 1d run, got 8"),
         ({"extent": 3.0}, "extent: must be null for a 1d run, got 3.0"),
     ], ids=["layer-key", "Zmax", "beam-key", "1d-beam", "beam-shape", "no-shape",
-            "stack-start", "k0-nan", "sigma-inf", "nu-nan", "eps-minus-inf", "z_to-inf",
+            "custom-samples", "cyl-tilt", "adjust-radicand", "stack-start", "k0-nan", "sigma-inf", "nu-nan", "eps-minus-inf", "z_to-inf",
             "extent-inf", "1d-M", "1d-extent"])
     def test_config_error_names_file_and_field(self, tmp_path, capsys, over, named):
         path, _ = write_config(tmp_path, **over)

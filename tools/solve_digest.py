@@ -1,5 +1,5 @@
 """Print one digest line per solve that the benchmark workloads make, and
-one per output file of two small `nlhelm solve` runs.
+one per output file of three small `nlhelm solve` runs.
 
     python3 tools/solve_digest.py [--seed N] [--fields DIR] > digest.txt
 
@@ -10,9 +10,9 @@ runs it. Every solvers.solve call prints
 
     <workload> <index> <sha256 of the field bytes> <sha256 of repr(report)>
 
-Then cli.main(["solve", ...]) runs, in a temporary directory, on a small 1D
-and a small Cartesian config (CLI_CONFIGS), and every output file but
-report.json, which holds the runtime, prints
+Then cli.main(["solve", ...]) runs, in a temporary directory, on a small 1D,
+a small Cartesian and a small cylindrical config (CLI_CONFIGS), and every
+output file but report.json, which holds the runtime, prints
 
     cli <config name> <file name> <sha256 of the file>
 
@@ -56,6 +56,11 @@ CLI_CONFIGS = [
      "extent": 6.0, "M": 60, "k0": 4.0, "sigma": 1.0,
      "layers": [{"z_from": 0.0, "z_to": 2.0, "nu": 1.0, "eps": 0.0625}],
      "beam_left": {"shape": "sech", "r0": 1.5, "amplitude_re": 1.0,
+                   "amplitude_im": 0.0, "adjust": True}},
+    {"name": "gauss-cyl", "geometry": "cylindrical", "Zmax": 2.0, "N": 16,
+     "extent": 1.5, "M": 12, "k0": 4.0, "sigma": 1.0,
+     "layers": [{"z_from": 0.0, "z_to": 2.0, "nu": 1.0, "eps": 0.0625}],
+     "beam_left": {"shape": "gaussian", "width": 0.5, "amplitude_re": 1.0,
                    "amplitude_im": 0.0, "adjust": True}},
 ]
 
