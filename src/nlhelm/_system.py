@@ -6,13 +6,15 @@ field-independent part (difference operators, boundary closures, material
 terms on E) and C the coupling coefficients multiplying P; a linear problem
 is the case C = 0, which each formula here covers. KerrSystem holds
 (A_lin, C, b, sigma) and evaluates the residual, frozen operators and the
-exact real-split Jacobian; `helmholtz_nd.HelmholtzProblem` assembles every
+exact real-split Jacobian, real_split(A_lin) + real_split(C) D(E), both
+splits built once; `helmholtz_nd.HelmholtzProblem` assembles every
 geometry, the 1D slab included, on top of it.
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,18 +23,15 @@ __all__ = ["KerrSystem", "real_split_matrix", "kerr_block_entries"]
 
 
 def real_split_matrix(A: sp.spmatrix) -> sp.csr_matrix:
-    """Real 2x2-block representation of a complex matrix.
-
-    Complex entry a+ib at (i, j) becomes [[a, -b], [b, a]] at rows/cols
-    (2i, 2i+1) x (2j, 2j+1), matching the interleaved (Re, Im) vector layout.
+    """Real 2x2-block representation of a complex matrix, the Kronecker
+    identity Re A (x) I2 + Im A (x) J2 with J2 = [[0, -1], [1, 0]]: entry
+    a+ib at (i, j) becomes [[a, -b], [b, a]] at rows/cols (2i, 2i+1) x
+    (2j, 2j+1), the interleaved (Re, Im) layout of fields.to_real_split.
+    Summed as BSR, each entry keeps its whole block, zeros included.
     """
-    coo = A.tocoo()
-    i, j, v = coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data
-    rows = np.concatenate([2 * i, 2 * i, 2 * i + 1, 2 * i + 1])
-    cols = np.concatenate([2 * j, 2 * j + 1, 2 * j, 2 * j + 1])
-    vals = np.concatenate([v.real, -v.imag, v.imag, v.real])
-    n = 2 * A.shape[0]
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, 2 * A.shape[1])).tocsr()
+    J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+    return (sp.kron(A.real, np.identity(2), format="bsr")
+            + sp.kron(A.imag, J2, format="bsr")).tocsr()
 
 
 def kerr_block_entries(e: np.ndarray, sigma: float):
@@ -76,9 +75,11 @@ class KerrSystem:
         self.size = self.A_lin.shape[0]
         assert self.A_lin.shape == (self.size, self.size)
         assert self.b.shape == (self.size,)
-        # real_split_matrix of A_lin and C, built with the first Jacobian
-        self._A_real: sp.csr_matrix | None = None
-        self._C_real: sp.csr_matrix | None = None
+
+    @cached_property
+    def _real_split(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """real_split_matrix of A_lin and of C, built with the first Jacobian."""
+        return real_split_matrix(self.A_lin), real_split_matrix(self.C)
 
     @property
     def has_kerr(self) -> bool:
@@ -105,15 +106,13 @@ class KerrSystem:
         """Exact Jacobian of the real-split residual at the complex field e:
         real_split(A_lin) + real_split(C) D(e), D(e) the block diagonal of
         the nodes' 2x2 Kerr derivative blocks (kerr_block_entries)."""
-        if self._A_real is None:
-            self._A_real = real_split_matrix(self.A_lin)
-            self._C_real = real_split_matrix(self.C)
+        A_real, C_real = self._real_split
         a, b, c = kerr_block_entries(e, self.sigma)
         blocks = np.stack([a, b, b, c], axis=-1).reshape(-1, 2, 2)
         n = np.arange(self.size + 1)
-        D = sp.bsr_matrix((blocks, n[:-1], n), shape=self._C_real.shape)
-        K = self._C_real @ D
+        D = sp.bsr_matrix((blocks, n[:-1], n), shape=C_real.shape)
+        K = C_real @ D
         # the product leaves its rows' columns unsorted; sorted, the sum is
         # canonical CSR
         K.sort_indices()
-        return (self._A_real + K).tocsr()
+        return (A_real + K).tocsr()

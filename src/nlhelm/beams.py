@@ -164,13 +164,13 @@ def poynting_flux(E: np.ndarray, grid, k0: float) -> FluxProfile:
     N, h = grid.N, grid.h
     w4 = central(1, 4)
     ns = np.arange(-2, N + 3)
-    # rows r = n + 3: the fourth-order rows are r = 2 .. N+4, each sum taken
-    # term by term in stencil order
+    rows = grid.index(ns)
+    # fourth-order inside, each sum taken term by term in stencil order
     dE = np.empty((ns.size, F.shape[1]), dtype=np.complex128)
-    dE[1:-1] = sum(w * F[2 + off:N + 5 + off]
+    dE[1:-1] = sum(w * F[rows[1:-1] + off]
                    for off, w in zip(w4.offsets, w4.weights)) / h
-    dE[[0, -1]] = (F[[2, N + 6]] - F[[0, N + 4]]) / (2.0 * h)
-    S = (np.conj(F[1:N + 6]) * dE).imag / k0
+    dE[[0, -1]] = (F[rows[[0, -1]] + 1] - F[rows[[0, -1]] - 1]) / (2.0 * h)
+    S = (np.conj(F[rows]) * dE).imag / k0
     if grid.geometry == "cylindrical":
         power = (S * grid.transverse_coords()).sum(axis=1) * grid.h_perp
     else:
@@ -367,8 +367,8 @@ def _pair_difference(Ec: np.ndarray, gc, Ef: np.ndarray, gf) -> float:
     """Max difference between a coarse field and the fine field restricted to
     the coarse nodes: z-nodes coincide (fine index 2n), transverse values are
     interpolated to the coarse cell centers by 4-point midpoint cubic."""
-    rows_c = np.arange(0, gc.N + 1) + 3
-    rows_f = 2 * np.arange(0, gc.N + 1) + 3
+    n = np.arange(0, gc.N + 1)
+    rows_c, rows_f = gc.index(n), gf.index(2 * n)
     if Ec.ndim == 1:
         return float(np.abs(Ec[rows_c] - Ef[rows_f]).max())
     Mc = gc.M

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import os
@@ -184,6 +183,8 @@ def parse_config(data: dict, source: str = "<config>") -> RunConfig:
                 raise ConfigError(f"{source}: {side}: unknown fields {sorted(extra)}")
         for key, value in beam.items():
             _check_kind(value, _BEAM_FIELDS[key], f"{side}.{key}", source)
+        for i, value in enumerate(beam.get("samples") or ()):
+            _check_kind(value, "float", f"{side}.samples[{i}]", source)
     return cfg
 
 
@@ -275,12 +276,10 @@ def write_field(path, E: np.ndarray, grid, k0: float) -> None:
     if np.shape(E) != grid.field_shape:
         raise ValueError(f"{path}: field shape {np.shape(E)} does not fit its grid, "
                          f"{grid.field_shape}")
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(_HEADER.pack(_GEOMETRY_TAGS[head["geometry"]], head["N"],
-                           head["M"], head["h_z"], head["h_perp"], head["k0"]))
-    buf.write(np.ascontiguousarray(E, dtype=np.complex128).astype("<c16").tobytes())
-    _atomic_write(Path(path), buf.getvalue())
+    header = _HEADER.pack(_GEOMETRY_TAGS[head["geometry"]], head["N"], head["M"],
+                          head["h_z"], head["h_perp"], head["k0"])
+    body = np.ascontiguousarray(E, dtype=np.complex128).astype("<c16").tobytes()
+    _atomic_write(Path(path), MAGIC + header + body)
 
 
 def read_field(path) -> tuple[dict, np.ndarray]:

@@ -14,16 +14,16 @@ The boundary rows use the transverse eigensystem: the ghost column one step
 outside the domain is a per-mode combination of incoming injection and
 one-step outward propagation, giving dense M x M blocks at those two rows
 only. The same eigenbasis splits the uniform vacuum operator into M
-tridiagonal systems, which `vacuum_solve` factors once per problem and
-applies on each call. A_lin differs from that operator only on the rows
-of material jumps and of nu != 1; where those are few (a nu = 1 slab: its
-two faces), `linear_inverse` applies A_lin^{-1} exactly in the same
-eigenbasis: one transform pair and one tridiagonal solve, plus a rank-k
-correction from the per-mode Green's functions at those rows and a small
-capacitance system. With M=1 and mirror closures on both walls every
-transverse block is a scalar and the system is the slab problem: a
-`Grid1D` is that single column, and every geometry, `helmholtz_1d.Problem1D`
-included, reaches the solvers as this one class.
+tridiagonal systems, factored once per problem, and one mode-space pipeline
+applies them: forward transform, one tridiagonal solve, an optional
+correction, back transform. `vacuum_solve` is that pipeline. A_lin differs
+from the vacuum operator only on the rows of material jumps and of nu != 1;
+where those are few (a nu = 1 slab: its two faces), `linear_inverse` is the
+same pipeline with a rank-k correction from the per-mode Green's functions
+at those rows and a small capacitance system. With M=1 and mirror
+closures on both walls every transverse block is a scalar and the system is
+the slab problem: a `Grid1D` is that single column, and every geometry,
+`helmholtz_1d.Problem1D` included, reaches the solvers as this one class.
 
 Unknown ordering is n-major, m-minor; the real split interleaves (Re, Im)
 per node (see fields.to_real_split).
@@ -272,10 +272,9 @@ class HelmholtzProblem(KerrSystem):
 
     @cached_property
     def _vacuum_inverse(self):
-        """(forward transform, gttrf factor, back transform) of vacuum_solve
-        and linear_inverse, built on first use. The factor is that of the M
-        per-mode tridiagonal systems stacked mode-major; zero off-diagonals
-        between mode blocks uncouple them."""
+        """(forward transform, gttrf factor, back transform) of _mode_solve,
+        built on first use. The factor is that of the M per-mode tridiagonal
+        systems stacked mode-major; zero off-diagonals uncouple the blocks."""
         eig, R, h, k0 = self.eigensystem, self.grid.num_nodes, self.grid.h_z, self.k0
         c = (1.0 + k0 * k0 * h * h / 12.0) / (h * h)
         off = np.full(eig.M * R - 1, c, dtype=np.complex128)
@@ -322,37 +321,39 @@ class HelmholtzProblem(KerrSystem):
     def linear_inverse(self):
         """A_lin^{-1} by the capacitance method (see _capacitance) as a
         function of a complex vector, or None where it declines; set up on
-        the first call. Between one forward and one back transform, an
-        application is a tridiagonal solve less G V^{-1} S^{-1} D_r on rows Q."""
+        the first call: _mode_solve less G V^{-1} S^{-1} D_r on rows Q."""
         if self._capacitance is None:
             return None
         Q, D_r, G, S = self._capacitance
-        forward, factor, back = self._vacuum_inverse
-        R, M = self.grid.num_nodes, self.grid.M
+        forward, _, back = self._vacuum_inverse
+        M = self.grid.M
 
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            U = rhs.reshape(R, M) @ forward
-            y, _ = scipy.linalg.lapack.zgttrs(*factor, U.T.reshape(-1))
-            y = y.reshape(M, R)
+        def correction(y: np.ndarray) -> np.ndarray:
             z = scipy.linalg.lu_solve(S, D_r @ (y[:, Q].T @ back).reshape(-1))
             a = z.reshape(-1, M) @ forward
-            y -= (G @ a.T[:, :, None])[..., 0]
-            return (y.T @ back).reshape(-1)
+            return (G @ a.T[:, :, None])[..., 0]
 
-        return solve
+        return lambda rhs: self._mode_solve(rhs, correction)
 
     def vacuum_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Invert the vacuum operator by separation of variables: transform
-        each row into the transverse eigenbasis, apply the LU of the per-mode
-        tridiagonal systems (gttrf, once per problem), transform back."""
+        """Invert the vacuum operator by separation of variables (_mode_solve)."""
+        return self._mode_solve(rhs)
+
+    def _mode_solve(self, rhs: np.ndarray, correction=None) -> np.ndarray:
+        """The mode-space pipeline of vacuum_solve and linear_inverse: each
+        row of rhs into the transverse eigenbasis, one zgttrs over the stacked
+        per-mode tridiagonals, less correction(y) of that (M, R) solution y
+        if given, and back."""
         R = self.grid.num_nodes
         forward, factor, back = self._vacuum_inverse
         U = rhs.reshape(R, -1) @ forward
-        out, _ = scipy.linalg.lapack.zgttrs(*factor, U.T.reshape(-1))
+        y, _ = scipy.linalg.lapack.zgttrs(*factor, U.T.reshape(-1))
+        y = y.reshape(-1, R)
+        if correction is not None:
+            y -= correction(y)
         # row-major (R, M) as per-mode solves would fill it, so the
         # back-transform is the same BLAS call, bit for bit
-        out = np.ascontiguousarray(out.reshape(-1, R).T)
-        return (out @ back).reshape(-1)
+        return (np.ascontiguousarray(y.T) @ back).reshape(-1)
 
 
 def solve_nd(grid: GridMultiD, mat: MaterialStack,

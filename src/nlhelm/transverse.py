@@ -182,8 +182,8 @@ def _stencil_matrix(M: int, derivative: int, accuracy: int,
                     np.array(coeffs.offsets) + 2, shape=(M, M + 4), format="csr")
 
 
-def default_closures(grid: GridMultiD | Grid1D, k0: float,
-                     nu0: float = 1.0) -> tuple[TransverseClosure, TransverseClosure]:
+def default_closures(grid: GridMultiD | Grid1D,
+                     k0: float) -> tuple[TransverseClosure, TransverseClosure]:
     """Standard boundary treatment: radiating walls for a Cartesian section,
     symmetric axis plus radiating rim for a cylindrical one. Sections too
     narrow for the 4-node wall stencil fall back to symmetric closures; in
@@ -191,9 +191,9 @@ def default_closures(grid: GridMultiD | Grid1D, k0: float,
     if grid.M < MIN_NODES_RADIATION:
         return symmetric_closure(), symmetric_closure()
     if grid.geometry == "cylindrical":
-        alpha = hankel_ratio_alpha(k0, grid.extent, nu0)
+        alpha = hankel_ratio_alpha(k0, grid.extent)
         return symmetric_closure(), radiation_closure(alpha, grid.h_perp, "top")
-    alpha = sommerfeld_alpha(k0, nu0)
+    alpha = sommerfeld_alpha(k0)
     return (radiation_closure(alpha, grid.h_perp, "bottom"),
             radiation_closure(alpha, grid.h_perp, "top"))
 
@@ -316,15 +316,12 @@ def abc_ghost_row(eigsys: TransverseEigensystem, uinc: np.ndarray,
     (modes_inverse @ einc); `boundary_column` is the physical field column at
     the outermost stored node. Returns the physical ghost column
 
-        Psi diag((1/q - q) q^-3) uinc + Psi diag(q) Psi^-1 boundary_column
+        Psi diag((1/q - q) q^-3) uinc + Psi diag(q) Psi^-1 boundary_column,
 
-    which the assemblers substitute to eliminate the ghost unknowns. With
-    M=1 this is exactly the slab ghost relation of the one-dimensional
-    boundary closure.
+    which is eigsys.ghost_column(Psi uinc, boundary_column). With M=1 this is
+    exactly the slab ghost relation of the one-dimensional boundary closure.
     """
-    beta = injection_weight(eigsys.roots)
-    return (eigsys.modes @ (beta * np.asarray(uinc, dtype=np.complex128))
-            + eigsys.propagation_matrix @ boundary_column)
+    return eigsys.ghost_column(eigsys.modes @ uinc, boundary_column)
 
 
 def injection_weight(q):

@@ -348,6 +348,27 @@ class TestNlsMarch:
         # two banded solves per pass, accepted or not
         assert len(finite) > 2 * (len(res.z) - 1)
 
+    def test_non_finite_corrector_halves_the_step(self, monkeypatch):
+        # the first pass's corrector, the second banded solve, comes back
+        # NaN: the step is retried at half the length, which the linear
+        # march then keeps to the end
+        calls = []
+        real = scipy.linalg.solve_banded
+
+        def nan_first_corrector(*args, **kwargs):
+            calls.append(None)
+            x = real(*args, **kwargs)
+            return np.full_like(x, np.nan) if len(calls) == 2 else x
+
+        monkeypatch.setattr(scipy.linalg, "solve_banded", nan_first_corrector)
+        grid = quiet_grid(2.0, 16, 3.0, 24, "cartesian")
+        x = grid.transverse_coords()
+        res = nls_march(grid, K0, 0.0, 1.0, np.exp(-(x**2)), dz=0.25)
+        assert not res.blew_up and res.z_star is None
+        assert np.array_equal(np.diff(res.z), np.full(16, 0.125))
+        assert np.all(np.isfinite(res.final))
+        assert len(calls) == 2 + 2 * 16
+
     def test_step_below_floor_reports_last_accepted_z(self, monkeypatch):
         # after three accepted steps every banded solve fails: dz halves 17
         # times, to below its floor dz 2^-16, and the march stops at z = 0.75

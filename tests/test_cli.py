@@ -5,10 +5,15 @@ exit-code contract (0 converged, 2 controlled non-convergence, 1 error)."""
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from nlhelm import cli
@@ -515,6 +520,20 @@ class TestSolveCommand:
             "error: born_inner_iterations must be at least 1\n"
         assert not (tmp_path / "out").exists()
 
+    def test_singular_vacuum_operator_exits_one(self, tmp_path, capsys, monkeypatch):
+        # a zero pivot of the vacuum tridiagonals stops Born's first sweep
+        factor = scipy.linalg.lapack.zgttrf
+
+        def zero_pivot(*args, **kwargs):
+            *lu, _ = factor(*args, **kwargs)
+            return (*lu, 1)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "zgttrf", zero_pivot)
+        path, _ = write_config(tmp_path, solver="born")
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == "error: singular vacuum operator\n"
+        assert not (tmp_path / "out").exists()
+
 
     @pytest.mark.parametrize("field,value", [
         ("N", "64"), ("Zmax", "5.0"), ("k0", None), ("sigma", True), ("extent", "6"),
@@ -577,6 +596,16 @@ class TestSolveCommand:
         # raised while the beams are sampled on the grid
         ({**_MULTID, "M": 48, "beam_left": {"shape": "custom", "samples": [1.0, 1.0, 1.0]}},
          "beam_left: custom beam has 3 samples, grid has 48"),
+        # each sample is a number: null would run a NaN beam, true sample
+        # 1.0, and 8 pairs flatten to 16 samples that fit M = 16
+        ({**_MULTID, "M": 16, "beam_left": {"shape": "custom", "samples": [None] + [1] * 15}},
+         "beam_left.samples[0]: must be a number, got None"),
+        ({**_MULTID, "M": 16, "beam_left": {"shape": "custom", "samples": [1] * 15 + [True]}},
+         "beam_left.samples[15]: must be a number, got True"),
+        ({**_MULTID, "M": 16, "beam_left": {"shape": "custom", "samples": [[1, 2]] * 8}},
+         "beam_left.samples[0]: must be a number, got [1, 2]"),
+        ({**_MULTID, "M": 16, "beam_right": {"shape": "custom", "samples": [1] * 3 + ["1"] + [1] * 12}},
+         "beam_right.samples[3]: must be a number, got '1'"),
         ({**_MULTID, "geometry": "cylindrical", "M": 24,
           "beam_left": {"shape": "gaussian", "width": 1.0, "tilt_angle": 0.1}},
          "beam_left: tilted beams break cylindrical symmetry"),
@@ -601,7 +630,8 @@ class TestSolveCommand:
         ({"M": 8}, "M: must be 1 for a 1d run, got 8"),
         ({"extent": 3.0}, "extent: must be null for a 1d run, got 3.0"),
     ], ids=["layer-key", "Zmax", "beam-key", "1d-beam", "beam-shape", "no-shape",
-            "custom-samples", "cyl-tilt", "adjust-radicand", "stack-start", "k0-nan", "sigma-inf", "nu-nan", "eps-minus-inf", "z_to-inf",
+            "custom-samples", "sample-null", "sample-true", "sample-pair",
+            "sample-string", "cyl-tilt", "adjust-radicand", "stack-start", "k0-nan", "sigma-inf", "nu-nan", "eps-minus-inf", "z_to-inf",
             "extent-inf", "1d-M", "1d-extent"])
     def test_config_error_names_file_and_field(self, tmp_path, capsys, over, named):
         path, _ = write_config(tmp_path, **over)
@@ -616,6 +646,17 @@ class TestPresetCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["name"] == "collapse-cyl-desk"
         assert data["extent"] == 3.5
+
+    def test_module_entry_point(self):
+        # `python -m nlhelm.cli` runs main on the command line
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "nlhelm.cli", "preset", "soliton-2d-desk"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path})
+        assert run.returncode == 0
+        assert run.stdout == preset("soliton-2d-desk").to_json()
 
     def test_out_file_and_scale(self, tmp_path, capsys):
         out = tmp_path / "cfg.json"

@@ -317,6 +317,44 @@ def four_term_jacobian(problem, e):
     return (real_split_matrix(problem.A_lin) + K).tocsr()
 
 
+def hand_built_real_split(A):
+    """real_split_matrix written out entry by entry: each complex entry's
+    four real entries concatenated as COO, then converted to CSR."""
+    coo = A.tocoo()
+    i, j, v = coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data
+    rows = np.concatenate([2 * i, 2 * i, 2 * i + 1, 2 * i + 1])
+    cols = np.concatenate([2 * j, 2 * j + 1, 2 * j, 2 * j + 1])
+    vals = np.concatenate([v.real, -v.imag, v.imag, v.real])
+    n = 2 * A.shape[0]
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, 2 * A.shape[1])).tocsr()
+
+
+class TestRealSplit:
+    @pytest.mark.parametrize(
+        "geometry,extent", [("cartesian", 6.0), ("cylindrical", 4.0)]
+    )
+    def test_kronecker_identity_is_the_hand_built_layout(self, geometry, extent):
+        problem = kerr_slab(geometry, extent)
+        assert problem.suite.top.kind == "radiation"
+        for A in (problem.A_lin, problem.C):
+            got, want = real_split_matrix(A), hand_built_real_split(A)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize(
+        "geometry,extent", [("cartesian", 6.0), ("cylindrical", 4.0)]
+    )
+    def test_acts_on_real_split_vectors_as_the_matrix(self, geometry, extent):
+        problem = kerr_slab(geometry, extent)
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=problem.size) + 1j * rng.normal(size=problem.size)
+        for A in (problem.A_lin, problem.C):
+            want = to_real_split(A @ x)
+            got = real_split_matrix(A) @ to_real_split(x)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 class TestAssembledSystem:
     def test_real_split_and_complex_inputs_agree(self):
         grid = quiet_grid(4.0, 32, 4.0, 8, "cartesian")
@@ -616,6 +654,19 @@ class TestVacuumSolve:
             for _ in range(3):
                 assert np.array_equal(problem.vacuum_solve(rhs), first)
         assert calls == [grid.num_nodes * grid.M, slab.grid.num_nodes]
+
+
+    def test_zero_pivot_raises(self, monkeypatch):
+        factor = scipy.linalg.lapack.zgttrf
+
+        def zero_pivot(*args, **kwargs):
+            *lu, _ = factor(*args, **kwargs)
+            return (*lu, 1)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "zgttrf", zero_pivot)
+        problem = HelmholtzProblem(quiet_grid(4.0, 32, 6.0, 12, "cartesian"), vacuum(4.0))
+        with pytest.raises(np.linalg.LinAlgError, match="^singular vacuum operator$"):
+            problem.vacuum_solve(np.ones(problem.size, dtype=complex))
 
 
 def kerr_slab(geometry="cartesian", extent=6.0, nu=1.0, right=False, split=False):

@@ -426,6 +426,51 @@ class TestNewton:
         assert report.factorizations == 0
 
 
+    def test_overflowing_step_stops_on_non_finite_step_norm(self, monkeypatch):
+        # a finite real-split step of 1.5e308 entries has a complex modulus
+        # of sqrt(2) 1.5e308, which overflows: relaxed to zero length, it
+        # would leave the iterate in place until the iteration cap
+        real = solvers.sparse_lu_solve
+
+        def huge_step(J, rhs, **kwargs):
+            x, lu = real(J, rhs, **kwargs)
+            return np.full_like(x, 1.5e308), lu
+
+        monkeypatch.setattr(solvers, "sparse_lu_solve", huge_step)
+        with np.errstate(over="ignore"):
+            _, report = newton_solve(kerr_problem(), NewtonConfig(max_iterations=5))
+        assert report.divergence_reason == "NaN"
+        assert report.iterations == len(report.history) == 0
+
+
+class TestNonFiniteFixedPoint:
+    def test_born_sweep_turning_non_finite_is_not_recorded(self, monkeypatch):
+        # the one sweep of the first outer step returns inf from a finite
+        # right-hand side: the run ends NaN before that step enters history
+        monkeypatch.setattr(HelmholtzProblem, "vacuum_solve",
+                            lambda self, rhs: np.full_like(rhs, np.inf))
+        _, report = born_solve(kerr_problem(nu=1.0),
+                               NewtonConfig(born_inner_iterations=1))
+        assert report.divergence_reason == "NaN"
+        assert report.iterations == len(report.history) == 0
+
+    def test_overflowing_change_at_the_cap_is_nan(self, monkeypatch):
+        # the one frozen solve allowed overflows |x - e|; the next
+        # iteration's Kerr weights would catch it, but there is none
+        real = solvers.sparse_lu_solve
+
+        def huge_solution(J, rhs, **kwargs):
+            x, lu = real(J, rhs, **kwargs)
+            return np.full_like(x, 1.5e308 + 1.5e308j), lu
+
+        monkeypatch.setattr(solvers, "sparse_lu_solve", huge_solution)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, report = freezing_solve(kerr_problem(), NewtonConfig(max_iterations=1))
+        assert report.divergence_reason == "NaN"
+        assert report.iterations == 1
+        assert math.isinf(report.history[0].step_norm)
+
+
 class SkewedFactor:
     """A SuperLU factor whose solves come back wrong: all NaN, or off by a
     relative 1e-6; either breaks the residual contract of sparse_lu_solve."""
