@@ -17,8 +17,10 @@ A_lin and the mirror fold), two loops and one linear-solve step:
 Newton and freezing make their sparse solves through _LinearSolve. On
 systems of at least REUSE_MIN_UNKNOWNS real unknowns, newton_solve keeps
 the last LU of its Jacobian and solves later steps by GCROT(m,k) (scipy's
-gcrotmk) right-preconditioned with it, refactoring only when a Krylov solve
-is slow or misses its acceptance test. The Krylov solve recycles: up to
+gcrotmk) right-preconditioned with it, refactoring when a Krylov solve
+misses its acceptance test, is slow, or spends the factor's Krylov budget:
+each LU may precondition LU_COST_SOLVES iterations in all, its own cost in
+triangular solves. The Krylov solve recycles: up to
 KRYLOV_RESTART directions of its search space, and its last solution, are
 carried from one Newton step to the next and projected out before any
 triangular solve. They are built on the live factor and dropped with it, so
@@ -32,8 +34,9 @@ space on the slab-face rows) newton_solve hands it to
 _LinearSolve as the first live factor, applied through a complex view of
 the real-split vectors (_SeparableFactor). The first step is then solved as
 any reuse step is: from the inverse's solution, by GCROT if that misses the
-contract, by a fresh LU if GCROT misses it too; the same refactor rule
-retires it.
+contract, by a fresh LU if GCROT misses it too. It is retired by the same
+rule, less the budget: one application costs a fraction of a triangular
+solve on an LU, so it is never charged.
 
 Inexact steps: while Newton's steps are damped, a Krylov solve on a live
 factor only has to meet ||J d + F||_inf <= FORCING ||F||_inf; such a step
@@ -143,6 +146,11 @@ REUSE_MIN_UNKNOWNS = 10_000
 KRYLOV_RESTART = 20
 # a preconditioned solve slower than this means the factor has gone stale
 REFACTOR_ITERATIONS = 15
+# the cost of one SuperLU factorization in triangular solves on its factor
+# (~0.4 s per LU against ~12 ms per solve at 32,112 real unknowns on a 2-core
+# VM): a factor is retired once the Krylov iterations it preconditions
+# exceed this
+LU_COST_SOLVES = 40
 # an exact Krylov solve stops at this fraction of the contract bound, in the
 # 2-norm (which bounds the inf-norm), so accepted steps track the direct ones
 # to ~1e-12
@@ -270,20 +278,25 @@ class _LinearSolve:
     """The sparse linear solves of one run, with their SolveReport telemetry.
 
     With reuse the last LU preconditions GCROT(m,k) (see _krylov_solve) and is
-    refactored only when that misses its test or takes over
-    REFACTOR_ITERATIONS iterations; without it every call factors afresh.
+    refactored when that misses its test, takes over REFACTOR_ITERATIONS
+    iterations, or brings the iterations on the factor past LU_COST_SOLVES
+    (counts only, so a run is reproducible); without it every call factors
+    afresh.
     The recycled Krylov space is carried from call to call on one factor and
     dropped with it, so at most one factor and its space are alive.
 
     factor, anything with a SuperLU factor's solve (Newton's cold start
     passes a _SeparableFactor), is the first live factor: the first call
-    solves with it as any reuse step does, and it is not counted as a
-    factorization.
+    solves with it as any reuse step does, and it is neither counted as a
+    factorization nor charged to a budget.
     """
 
     def __init__(self, *, reuse: bool, factor=None):
         self.reuse = reuse
         self.lu = factor
+        # Krylov iterations self.lu may still precondition; a separable
+        # factor is far cheaper to apply than an LU and is never charged
+        self.budget = math.inf
         self.recycled: list = []  # gcrotmk's (c, u) pairs, built on self.lu
         self.forced = False  # whether the last x was accepted under forcing
         self.factorizations = self.krylov_iterations = self.forced_steps = 0
@@ -299,8 +312,9 @@ class _LinearSolve:
             if self.lu is not None:
                 x, its = _krylov_solve(J, rhs, self.lu, forcing, self.recycled)
                 self.krylov_iterations += its
-                if x is None or its > REFACTOR_ITERATIONS:
-                    # stale; dropped before splu so one factor is alive
+                self.budget -= its
+                if x is None or its > REFACTOR_ITERATIONS or self.budget < 0:
+                    # stale or spent; dropped before splu so one factor is alive
                     self.lu, self.recycled = None, []
                 if x is not None and forcing:
                     self.forced = True
@@ -310,6 +324,7 @@ class _LinearSolve:
                 self.factorizations += 1
                 self.lu_fill = max(self.lu_fill, lu.nnz)
                 self.lu = lu if self.reuse else None
+                self.budget = LU_COST_SOLVES
         except SingularMatrix:
             return None, "LinearSolveFail"
         except MemoryError:
@@ -348,10 +363,12 @@ def newton_solve(problem: HelmholtzProblem, config: NewtonConfig | None = None):
 
     Large systems (see REUSE_MIN_UNKNOWNS) solve for delta by GCROT(m,k)
     preconditioned with the last LU while that stays within
-    REFACTOR_ITERATIONS iterations; a step whose Krylov solve misses its test
-    is factored afresh. From e = 0 the system's linear_inverse, where it
-    has one, is the first live factor (see the module docstring). A
-    mirror-symmetric problem iterates on its half section.
+    REFACTOR_ITERATIONS iterations per step and LU_COST_SOLVES in all; a step
+    whose Krylov solve misses its test is factored afresh, and a slow step or
+    one that spends the budget makes the next step factor. From e = 0 the
+    system's linear_inverse, where it has one, is the first live factor (see
+    the module docstring). A mirror-symmetric problem iterates on its half
+    section.
 
     Inexact steps: when the previous step was damped and a factor is live,
     the Krylov solve is forced: it is accepted once finite with

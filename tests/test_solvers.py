@@ -568,6 +568,52 @@ class TestFactorReuse:
         assert report.factorizations == len(calls)
         assert report.krylov_iterations == 0
 
+    @staticmethod
+    def exact_in_ten(monkeypatch):
+        """(J, rhs) of a small sparse system, with every Krylov solve made to
+        return its exact solution after 10 iterations."""
+        J = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(8, 8), format="csr")
+        rhs = np.arange(1.0, 9.0)
+        x = np.linalg.solve(J.toarray(), rhs)
+        monkeypatch.setattr(solvers, "_krylov_solve",
+                            lambda *args, **kwargs: (x.copy(), 10))
+        return J, rhs
+
+    def test_factor_retired_once_its_krylov_budget_is_spent(self, monkeypatch):
+        # the first call factors; the next five spend 50 > LU_COST_SOLVES
+        # iterations on that factor, so the seventh factors afresh
+        J, rhs = self.exact_in_ten(monkeypatch)
+        seen = spy_factorizations(monkeypatch)
+        linear = solvers._LinearSolve(reuse=True)
+        for _ in range(7):
+            x, failure = linear(J, rhs)
+            assert failure is None and x is not None
+        assert linear.factorizations == len(seen) == 2
+        assert linear.krylov_iterations == 50
+
+    def test_separable_factor_is_never_charged(self, monkeypatch):
+        # not even by a budget that would retire an LU after every call
+        monkeypatch.setattr(solvers, "LU_COST_SOLVES", 0)
+        J, rhs = self.exact_in_ten(monkeypatch)
+        seen = spy_factorizations(monkeypatch)
+        factor = solvers._SeparableFactor(lambda v: v)
+        linear = solvers._LinearSolve(reuse=True, factor=factor)
+        for _ in range(10):
+            x, failure = linear(J, rhs)
+            assert failure is None and x is not None
+        assert linear.factorizations == 0 and seen == []
+        assert linear.lu is factor and linear.krylov_iterations == 100
+
+    def test_budget_retires_keep_exact_newton(self, slab_2d, monkeypatch):
+        # with forcing off every step is exact, so retiring factors early only
+        # moves the LUs: 2 with the default budget, 4 with a budget of 10
+        monkeypatch.setattr(solvers, "FORCING", 0.0)
+        monkeypatch.setattr(solvers, "LU_COST_SOLVES", 10)
+        problem, E_direct, direct = slab_2d
+        E, report = newton_solve(problem)
+        assert_matches_direct(E, report, E_direct, direct)
+        assert report.factorizations == 4
+
 
 class TestSeparableColdStart:
     # Newton from e = 0 on the reuse path solves step 0 with the separable
@@ -947,6 +993,15 @@ class TestDeterminism:
         assert r1.mirror_folded and r1.converged
         assert np.array_equal(E1, E2) and np.array_equal(E1, E3)
         assert r1.history == r2.history == r3.history
+
+    def test_repeat_budget_retiring_solves_bitwise_identical(self, monkeypatch):
+        # the Krylov budget counts iterations, never time
+        monkeypatch.setattr(solvers, "FORCING", 0.0)
+        monkeypatch.setattr(solvers, "LU_COST_SOLVES", 10)
+        E1, r1 = newton_solve(soliton_slab())
+        E2, r2 = newton_solve(soliton_slab())
+        assert r1.factorizations == 4  # the budget retired two factors
+        assert np.array_equal(E1, E2) and r1 == r2
 
     def test_repeat_reuse_solves_bitwise_identical(self):
         problem = soliton_slab()

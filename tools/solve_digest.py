@@ -1,7 +1,7 @@
 """Print one digest line per solve that the benchmark workloads make, and
 one per output file of three small `nlhelm solve` runs.
 
-    python3 tools/solve_digest.py [--seed N] [--fields DIR] > digest.txt
+    python3 tools/solve_digest.py [--seed N] [--fields DIR] [--against DIR] > digest.txt
 
 Imports nlhelm from this checkout's src/ and reads perfbench/workloads.py by
 path (nothing is written under perfbench/). Each workload is built and run
@@ -27,6 +27,11 @@ tolerance, e.g. for one solve
 
     a, b = np.load("old/soliton-cart-0.npy"), np.load("new/soliton-cart-0.npy")
     abs(a - b).max() / abs(a).max() <= 1e-12
+
+With --against DIR, a directory that such a run saved, every workload solve
+line gains a fifth column, max|E - E_DIR| / max|E_DIR| against
+DIR/<workload>-<index>.npy (or "missing"), and the exit status is 1 if any
+of them exceeds AGAINST_RTOL or a file is missing.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# largest relative field difference --against accepts
+AGAINST_RTOL = 1e-12
 
 # each beam states its amplitude, whose default has differed between
 # geometries; the 1D config leaves its right beam absent
@@ -74,6 +81,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--fields", type=Path, metavar="DIR",
                         help="also save each workload solve's field as DIR/<workload>-<index>.npy")
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="compare each workload solve's field with DIR/<workload>-<index>.npy")
     args = parser.parse_args(argv)
     if args.fields is not None:
         args.fields.mkdir(parents=True, exist_ok=True)
@@ -87,14 +96,23 @@ def main(argv=None) -> int:
                                run_name="perfbench_workloads")
     solve = solvers.solve
     failed = 0
+    differs = []
     for name, workload in workloads["WORKLOADS"].items():
         index = 0
 
         def digest(*a, **kw):
             nonlocal index
             E, report = solve(*a, **kw)
-            field = _sha(E.astype("<c16").tobytes())
-            print(name, index, field, _sha(repr(report).encode()), flush=True)
+            line = [name, index, _sha(E.astype("<c16").tobytes()),
+                    _sha(repr(report).encode())]
+            if args.against is not None:
+                rel = _relative_difference(E, args.against / f"{name}-{index}.npy")
+                line.append("missing" if rel is None else f"{rel:.3e}")
+                if rel is None or not rel <= AGAINST_RTOL:
+                    print(f"{name} {index}: field {line[-1]} against {args.against}",
+                          file=sys.stderr)
+                    differs.append(line)
+            print(*line, flush=True)
             if args.fields is not None:
                 np.save(args.fields / f"{name}-{index}.npy", E)
             index += 1
@@ -111,7 +129,20 @@ def main(argv=None) -> int:
             print(f"{name}: {failure}", file=sys.stderr)
         failed += rec.failed
     cli_ok = _digest_cli()
-    return 1 if failed or not cli_ok else 0
+    return 1 if failed or differs or not cli_ok else 0
+
+
+def _relative_difference(E, path: Path) -> float | None:
+    """max|E - E_path| / max|E_path| for the field saved at path (inf if its
+    shape differs), or None if there is no such file."""
+    import numpy as np
+
+    if not path.is_file():
+        return None
+    ref = np.load(path)
+    if ref.shape != E.shape:
+        return float("inf")
+    return float(np.abs(E - ref).max() / np.abs(ref).max())
 
 
 def _digest_cli() -> bool:
