@@ -155,6 +155,9 @@ class MaterialStack:
     layers: tuple[Layer, ...]
 
     def __post_init__(self):
+        # a tuple, given any sequence, so the stack hashes: problems key
+        # their shared operator by it (helmholtz_nd)
+        object.__setattr__(self, "layers", tuple(self.layers))
         _check_positive_finite(k0=self.k0, sigma=self.sigma)
         if not self.layers:
             raise InvalidGrid("material stack needs at least one layer")

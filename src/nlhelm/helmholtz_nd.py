@@ -36,11 +36,22 @@ problem on the first M/2 nodes of each row (x <= 0), closed at x = 0 by the
 mirror closure that closes a cylindrical section at its axis; the solvers
 iterate on it from a symmetric start (see `fold`). The field a solver
 returns and every output stay full size.
+
+A problem is an operator and a right-hand side. The operator is all that
+the incoming beams do not change: the transverse suite and eigensystem,
+the six transverse blocks, A_lin and C, and what is built from them on
+first use (the real split, the vacuum factor, the capacitance set-up). The
+beams enter only b, on the two boundary rows. Problems with equal grid,
+material and wall closures share one operator, found under that key in a
+weak-valued table: it lives exactly as long as some problem holds it, and
+holds no reference back, so a discarded set of problems frees its
+operators at once.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -115,12 +126,18 @@ def _material_rows(grid: GridMultiD | Grid1D, mat: MaterialStack):
             interface)
 
 
+def _ghost_weight(k0: float, h: float) -> float:
+    """c = (1 + k0^2 h^2 / 12) / h^2, the weight of the ghost column that the
+    two-way boundary rows eliminate (the vacuum rows' off-diagonal)."""
+    return (1.0 + k0 * k0 * h * h / 12.0) / (h * h)
+
+
 def _transverse_blocks(suite: TransverseSuite, eig: TransverseEigensystem,
                        k0: float, h: float):
     """The M x M blocks the operators are Kronecker sums over:
     (I, A_t, T2, T_L, two-way boundary block, compact block of C)."""
     I_M = sp.identity(suite.laplacian.shape[0], dtype=np.complex128, format="csr")
-    c = (1.0 + k0 * k0 * h * h / 12.0) / (h * h)
+    c = _ghost_weight(k0, h)
     # ghost column eliminated through per-mode one-step propagation
     boundary = (c * sp.csr_matrix(eig.propagation_matrix) + suite.laplacian
                 + (-2.0 * c + k0 * k0) * I_M)
@@ -130,9 +147,8 @@ def _transverse_blocks(suite: TransverseSuite, eig: TransverseEigensystem,
 
 
 def _assemble(grid: GridMultiD | Grid1D, k0: float, W: np.ndarray, eps: np.ndarray,
-              interface: np.ndarray, blocks: tuple, eig: TransverseEigensystem,
-              einc_left: np.ndarray | None, einc_right: np.ndarray | None):
-    """(A_lin, C, b) for the per-row coefficients of _material_rows.
+              interface: np.ndarray, blocks: tuple):
+    """(A_lin, C) for the per-row coefficients of _material_rows.
 
     A_lin and C are fixed sums of kron(Z, B): B one of the `blocks` of
     _transverse_blocks, Z an R x R longitudinal matrix of per-row
@@ -141,7 +157,7 @@ def _assemble(grid: GridMultiD | Grid1D, k0: float, W: np.ndarray, eps: np.ndarr
     """
     R, M, h = grid.num_nodes, grid.M, grid.h_z
     I_M, A_t, T2, T_L, boundary, compact = blocks
-    c = (1.0 + k0 * k0 * h * h / 12.0) / (h * h)
+    c = _ghost_weight(k0, h)
     W, eps = np.pad(W, 1), np.pad(eps, 1)
     iface, compact_row = np.pad(interface, 1), np.pad(~interface, 1)
     edge = ~(iface | compact_row)
@@ -169,20 +185,92 @@ def _assemble(grid: GridMultiD | Grid1D, k0: float, W: np.ndarray, eps: np.ndarr
     c_off = compact_row * (k2eps / 12.0)
     C = (term({0: compact_row * k2eps}, compact)
          + term({-1: c_off, 0: iface * (6.0 * h * k0 * k0 * eps / 11.0), 1: c_off}, I_M))
+    # C has no nonzeros on a linear stack; keep its dtype that of A_lin
+    return A.tocsr(), C.tocsr().astype(np.complex128, copy=False)
 
-    b = np.zeros(R * M, dtype=np.complex128)
+
+def _forcing(grid: GridMultiD | Grid1D, k0: float, eig: TransverseEigensystem,
+             einc_left: np.ndarray | None, einc_right: np.ndarray | None) -> np.ndarray:
+    """b: zero but on the two boundary rows, where the two-way boundary
+    condition injects the incoming profiles."""
+    M = grid.M
+    c = _ghost_weight(k0, grid.h_z)
+    b = np.zeros(grid.num_nodes * M, dtype=np.complex128)
     if einc_left is not None:
         b[:M] = -c * (eig.injection_matrix @ einc_left)
     if einc_right is not None:
         b[-M:] = -c * (eig.injection_matrix @ einc_right)
-    # C has no nonzeros on a linear stack; keep its dtype that of A_lin
-    return A.tocsr(), C.tocsr().astype(np.complex128, copy=False), b
+    return b
+
+
+class _Operator:
+    """The part of a problem that its incoming beams do not change: the
+    transverse suite and eigensystem, the transverse blocks, A_lin and C.
+    What problems build from it on first use (see _shared) is kept in its
+    __dict__ too. It holds no reference to a problem."""
+
+    def __init__(self, grid: GridMultiD | Grid1D, mat: MaterialStack,
+                 bottom: TransverseClosure | None, top: TransverseClosure | None):
+        # looked up as module globals at call time, where a tracer may wrap them
+        self.suite = build_transverse_suite(grid, mat.k0, bottom, top)
+        self.eigensystem = eigensolve_transverse(self.suite.laplacian, mat.k0, grid.h_z)
+        self.blocks = _transverse_blocks(self.suite, self.eigensystem, mat.k0, grid.h_z)
+        self.A_lin, self.C = _assemble(grid, mat.k0, *_material_rows(grid, mat),
+                                       self.blocks)
+
+
+# every live operator, keyed by (grid, material, bottom, top closure keys)
+_OPERATORS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _closure_key(closure: TransverseClosure | None):
+    """A closure as part of a dict key: the ndarray block, which does not
+    hash, by its shape and complex bytes. None (the default) stays None."""
+    if closure is None:
+        return None
+    if closure.block is None:
+        return closure.kind, None
+    block = np.asarray(closure.block, dtype=np.complex128)
+    return closure.kind, block.shape, block.tobytes()
+
+
+def _operator(grid: GridMultiD | Grid1D, mat: MaterialStack,
+              bottom: TransverseClosure | None,
+              top: TransverseClosure | None) -> _Operator:
+    """The live operator for this key, built if there is none."""
+    key = (grid, mat, _closure_key(bottom), _closure_key(top))
+    op = _OPERATORS.get(key)
+    if op is None:
+        op = _OPERATORS[key] = _Operator(grid, mat, bottom, top)
+    return op
+
+
+class _shared(cached_property):
+    """A cached_property kept on the problem's operator, not on the problem,
+    so it is built once, by the first problem that asks, for every problem
+    on that operator. Only for values of the operator, never of b."""
+
+    def __get__(self, problem, owner=None):
+        if problem is None:
+            return self
+        store = vars(problem._operator)
+        if self.attrname not in store:
+            store[self.attrname] = self.func(problem)
+        return store[self.attrname]
 
 
 class HelmholtzProblem(KerrSystem):
     """Assembled problem of any geometry, the 1D slab included: the Kerr
     algebra of KerrSystem plus the vacuum solve, the separable inverse of
-    A_lin and the mirror fold that the solvers use."""
+    A_lin and the mirror fold that the solvers use.
+
+    A problem holds its own incoming profiles, b and mirror; the rest is its
+    operator, shared with every live problem on an equal grid, material and
+    pair of closures (`bottom`, `top`; None, the default, is its own key).
+    So A_lin, C, suite and eigensystem are the same objects across those
+    problems, and the real split, vacuum factor and capacitance set-up are
+    built once for all of them. Nothing here changes them in place. The
+    operator is freed with the last problem that holds it."""
 
     def __init__(self, grid: GridMultiD | Grid1D, mat: MaterialStack,
                  einc_left: np.ndarray | None = None,
@@ -191,18 +279,15 @@ class HelmholtzProblem(KerrSystem):
                  top: TransverseClosure | None = None):
         self.grid = grid
         self.mat = mat
-        self.einc_left = self._check_profile(einc_left)
-        self.einc_right = self._check_profile(einc_right)
-        self.suite = build_transverse_suite(grid, mat.k0, bottom, top)
-        self.eigensystem = eigensolve_transverse(
-            self.suite.laplacian, mat.k0, grid.h_z)
-        self._blocks = _transverse_blocks(self.suite, self.eigensystem,
-                                          mat.k0, grid.h_z)
-        A, C, b = _assemble(grid, mat.k0, *_material_rows(grid, mat),
-                            self._blocks, self.eigensystem,
-                            self.einc_left, self.einc_right)
-        super().__init__(A, C, b, mat.sigma, field_shape=grid.field_shape)
+        self.einc_left = self._check_profile(einc_left, "left")
+        self.einc_right = self._check_profile(einc_right, "right")
+        self._operator = op = _operator(grid, mat, bottom, top)
+        self.suite, self.eigensystem, self._blocks = op.suite, op.eigensystem, op.blocks
+        b = _forcing(grid, mat.k0, op.eigensystem, self.einc_left, self.einc_right)
+        super().__init__(op.A_lin, op.C, b, mat.sigma, field_shape=grid.field_shape)
         self.mirror = self._section_mirror()
+
+    _real_split = _shared(KerrSystem._real_split.func)
 
     def _section_mirror(self) -> np.ndarray | None:
         """m <-> M-1-m within each row, kept only for a Cartesian section
@@ -245,14 +330,15 @@ class HelmholtzProblem(KerrSystem):
         gather[H] = gather[mirror[H]] = np.arange(H.size)
         return self.half_section(), e[H], gather
 
-    def _check_profile(self, einc):
+    def _check_profile(self, einc, side: str):
         if einc is None:
             return None
         einc = np.asarray(einc, dtype=np.complex128).reshape(-1)
         if einc.shape[0] != self.grid.M:
-            raise ValueError(
-                f"incoming profile has {einc.shape[0]} samples, grid has {self.grid.M}"
-            )
+            raise ValueError(f"{side} incoming profile has {einc.shape[0]} samples, "
+                             f"grid has {self.grid.M}")
+        if not np.isfinite(einc).all():
+            raise ValueError(f"{side} incoming profile must be finite")
         return einc
 
     @property
@@ -261,22 +347,22 @@ class HelmholtzProblem(KerrSystem):
 
     def vacuum_operator(self) -> sp.csr_matrix:
         """Uniform linear operator: every non-boundary row a compact row
-        with W = 1, eps = 0. Assembled on each call and not kept: each solve
-        needs it once (Born's A_lin - A0, the capacitance set-up), and a kept
-        copy would stay resident through Newton's later LUs."""
+        with W = 1, eps = 0. Assembled on each call and not kept: each Born
+        solve needs it once (A_lin - A0), the capacitance set-up once per
+        operator, and a kept copy would stay resident through Newton's
+        later LUs."""
         n = self.grid.num_nodes - 2
-        A0, _, _ = _assemble(
-            self.grid, self.k0, np.ones(n), np.zeros(n), np.zeros(n, dtype=bool),
-            self._blocks, self.eigensystem, None, None)
+        A0, _ = _assemble(self.grid, self.k0, np.ones(n), np.zeros(n),
+                          np.zeros(n, dtype=bool), self._blocks)
         return A0
 
-    @cached_property
+    @_shared
     def _vacuum_inverse(self):
         """(forward transform, gttrf factor, back transform) of _mode_solve,
         built on first use. The factor is that of the M per-mode tridiagonal
         systems stacked mode-major; zero off-diagonals uncouple the blocks."""
-        eig, R, h, k0 = self.eigensystem, self.grid.num_nodes, self.grid.h_z, self.k0
-        c = (1.0 + k0 * k0 * h * h / 12.0) / (h * h)
+        eig, R, k0 = self.eigensystem, self.grid.num_nodes, self.k0
+        c = _ghost_weight(k0, self.grid.h_z)
         off = np.full(eig.M * R - 1, c, dtype=np.complex128)
         off[R - 1::R] = 0.0
         main = np.repeat((-2.0 * c + k0 * k0 + eig.eigenvalues)[:, None], R, axis=1)
@@ -286,7 +372,7 @@ class HelmholtzProblem(KerrSystem):
             raise np.linalg.LinAlgError("singular vacuum operator")
         return eig.modes_inverse.T, factor, eig.modes.T
 
-    @cached_property
+    @_shared
     def _capacitance(self):
         """(support rows Q, D_r on them, G, LU of S) of the capacitance
         method, built on first use, or None where it declines.

@@ -192,6 +192,13 @@ class TestMaterialStack:
             MaterialStack(k0=1.0, sigma=1.0, layers=(
                 Layer(0.0, 1.0, 1.0, 0.0), Layer(1.0, z_to, 1.0, 0.0)))
 
+    def test_layer_list_kept_as_a_hashable_tuple(self):
+        layers = [Layer(0.0, 1.0, 1.5, 0.0), Layer(1.0, 3.0, 2.0, 0.1)]
+        mat = MaterialStack(k0=1.0, sigma=1.0, layers=layers)
+        assert mat.layers == tuple(layers)
+        assert mat == MaterialStack(k0=1.0, sigma=1.0, layers=tuple(layers))
+        assert hash(mat) == hash(MaterialStack(k0=1.0, sigma=1.0, layers=tuple(layers)))
+
     def test_is_linear(self):
         assert homogeneous_stack(1.0, 1.0).is_linear()
         assert not homogeneous_stack(1.0, 1.0, eps=0.1).is_linear()

@@ -341,6 +341,14 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_1d(grid, slab(1.5), Incoming1D(), np.zeros(grid.num_nodes - 1))
 
+    @pytest.mark.parametrize("inc,side", [
+        (Incoming1D(EincL=np.nan), "left"),
+        (Incoming1D(EincL=1.0, EincR=np.inf), "right"),
+    ])
+    def test_non_finite_incoming_wave_rejected(self, inc, side):
+        with pytest.raises(ValueError, match=f"^{side} incoming profile must be finite$"):
+            build_problem_1d(build_grid_1d(5.0, 16), slab(1.5), inc)
+
     def test_interface_row_couples_seven_nodes(self):
         # genuine jump at z = 2.5 -> one-sided matching row over n-3..n+3
         mat = MaterialStack(

@@ -6,8 +6,13 @@ Oracles: exact plane waves and mode fields, finite differences for the
 Jacobian, and closed-form Wirtinger derivatives for the Kerr blocks.
 """
 
+import dataclasses
+import gc
 import math
+import runpy
 import warnings
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +40,7 @@ from nlhelm import (
     kerr_jacobian_block,
     make_incoming,
     newton_solve,
+    radiation_closure,
     residual_exterior,
     residual_interface,
     residual_interior_cartesian,
@@ -42,9 +48,11 @@ from nlhelm import (
     sample_material,
     solve_nd,
     solvers,
+    sommerfeld_alpha,
     symmetric_closure,
     to_real_split,
 )
+from nlhelm import helmholtz_nd
 from nlhelm._system import kerr_block_entries, real_split_matrix
 from nlhelm.helmholtz_nd import _material_rows, mirror_invariant
 
@@ -375,6 +383,14 @@ class TestAssembledSystem:
         grid = quiet_grid(4.0, 32, 4.0, 8, "cartesian")
         with pytest.raises(ValueError):
             HelmholtzProblem(grid, vacuum(4.0), einc_left=np.ones(5, dtype=complex))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_non_finite_incoming_profile_rejected(self, side):
+        grid = quiet_grid(4.0, 32, 4.0, 8, "cartesian")
+        profile = np.ones(grid.M, dtype=complex)
+        profile[3] = np.nan
+        with pytest.raises(ValueError, match=f"^{side} incoming profile must be finite$"):
+            HelmholtzProblem(grid, vacuum(4.0), **{f"einc_{side}": profile})
 
     def test_assembly_deterministic(self):
         grid = quiet_grid(4.0, 32, 4.0, 8, "cylindrical")
@@ -767,3 +783,135 @@ class TestLinearInverse:
     def test_declines_on_a_dense_interior(self):
         # nu = 1.5 makes every slab row differ from the vacuum operator
         assert kerr_slab(nu=1.5).linear_inverse() is None
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def cylinder_slab(amplitude, N=64, M=72):
+    """Cylindrical Kerr slab (nu = 1, eps = 1/16, Zmax = Rmax = 4) under a
+    Gaussian beam of the given amplitude. At the default 64 x 72 it has
+    10,224 real unknowns, so Newton starts from the separable inverse."""
+    mat = MaterialStack(k0=K0, sigma=1.0, layers=(Layer(0.0, 4.0, 1.0, 0.0625),))
+    grid = quiet_grid(4.0, N, 4.0, M, "cylindrical")
+    beam = amplitude * np.exp(-(grid.transverse_coords() / 1.5) ** 2)
+    return HelmholtzProblem(grid, mat, einc_left=beam.astype(complex))
+
+
+def operator_bytes(problem):
+    """b, A_lin and C of a problem, as bytes."""
+    arrays = [problem.b] + [getattr(A, part) for A in (problem.A_lin, problem.C)
+                            for part in ("data", "indices", "indptr")]
+    return [a.tobytes() for a in arrays]
+
+
+class TestOperatorSharing:
+    """Problems that differ only in their incoming beams share one operator
+    (transverse suite, eigensystem, A_lin, C and what is built from them),
+    which lives exactly as long as some problem holds it."""
+
+    def test_beams_share_one_operator(self):
+        beams = [dict(), dict(right=True)]
+        # each built while no other problem on its operator is alive
+        alone = [operator_bytes(kerr_slab(**kw)) for kw in beams]
+        p, q = (kerr_slab(**kw) for kw in beams)
+        for name in ("A_lin", "C", "suite", "eigensystem"):
+            assert getattr(p, name) is getattr(q, name)
+        assert not np.array_equal(p.b, q.b)
+        assert [operator_bytes(p), operator_bytes(q)] == alone
+
+    @pytest.mark.parametrize("change", ["eps", "k0", "N", "closure"])
+    def test_any_other_key_gets_its_own_operator(self, change):
+        grid = quiet_grid(4.0, 32, 6.0, 12, "cartesian")
+        mat = MaterialStack(k0=K0, sigma=1.0, layers=(Layer(0.0, 4.0, 1.0, 0.0625),))
+
+        def walls():
+            # equal closures built apart, as the key compares them by value
+            alpha = sommerfeld_alpha(K0)
+            return dict(bottom=radiation_closure(alpha, grid.h_perp, "bottom"),
+                        top=radiation_closure(alpha, grid.h_perp, "top"))
+
+        def problem(grid=grid, mat=mat, **closures):
+            closures = closures or walls()
+            beam = np.exp(-grid.transverse_coords() ** 2).astype(complex)
+            return HelmholtzProblem(grid, mat, einc_left=beam, **closures)
+
+        base, twin = problem(), problem()
+        other = {
+            "eps": lambda: problem(mat=dataclasses.replace(
+                mat, layers=(Layer(0.0, 4.0, 1.0, 0.03125),))),
+            "k0": lambda: problem(mat=dataclasses.replace(mat, k0=4.5)),
+            "N": lambda: problem(grid=quiet_grid(4.0, 40, 6.0, 12, "cartesian")),
+            "closure": lambda: problem(bottom=SYM, top=SYM),
+        }[change]()
+        assert base.A_lin is twin.A_lin and base.eigensystem is twin.eigensystem
+        for name in ("A_lin", "C", "suite", "eigensystem"):
+            assert getattr(other, name) is not getattr(base, name)
+
+    def test_operator_freed_with_its_last_problem(self, monkeypatch):
+        suites = []
+        build = helmholtz_nd.build_transverse_suite
+        monkeypatch.setattr(helmholtz_nd, "build_transverse_suite",
+                            lambda *a: suites.append(a[0]) or build(*a))
+        # freed by reference counting alone, so no cycle may hold it
+        gc.disable()
+        try:
+            p, q = kerr_slab(), kerr_slab(right=True)
+            assert len(suites) == 1
+            # what is built on first use is kept on the operator as well
+            p.jacobian_real(p.b)
+            q.linear_inverse()(q.b)
+            newton_solve(p)
+            operator = weakref.ref(p._operator)
+            del p
+            assert operator() is not None
+            del q
+            assert operator() is None
+            kerr_slab()
+            assert len(suites) == 2
+        finally:
+            gc.enable()
+
+    def test_discarded_benchmark_build_frees_its_operators(self):
+        # the benchmark times set-ups whose results it drops; a surviving
+        # operator would make the next set-up a warm one
+        build = runpy.run_path(str(WORKLOADS), run_name="perfbench_workloads")[
+            "WORKLOADS"]["small-batch"].build
+        gc.disable()
+        try:
+            before = len(helmholtz_nd._OPERATORS)
+            state = build(3)
+            # 6 linear grids, 1 Kerr slab for 33 problems, 4 soliton slabs
+            assert len(helmholtz_nd._OPERATORS) == before + 11
+            del state
+            assert len(helmholtz_nd._OPERATORS) == before
+        finally:
+            gc.enable()
+
+    def test_continuation_builds_one_operator(self, monkeypatch):
+        calls = []
+        for name in ("build_transverse_suite", "eigensolve_transverse"):
+            fn = getattr(helmholtz_nd, name)
+            monkeypatch.setattr(helmholtz_nd, name,
+                                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        mat = MaterialStack(k0=K0, sigma=1.0, layers=(Layer(0.0, 5.0, 1.0, 0.05),))
+        grid = build_grid_1d(5.0, 96)
+        problems = [Problem1D(grid, mat, Incoming1D(EincL=a))
+                    for a in np.linspace(0.05, 1.5, 30)]
+        assert calls == ["build_transverse_suite", "eigensolve_transverse"]
+        assert len({id(p.A_lin) for p in problems}) == 1
+        assert len({p.b.tobytes() for p in problems}) == 30
+
+    @pytest.mark.parametrize("method,slab", [
+        ("newton", cylinder_slab),
+        ("born", lambda a: cylinder_slab(a, N=32, M=12)),
+        ("freezing", lambda a: cylinder_slab(a, N=32, M=12)),
+    ], ids=["newton-separable-start", "born", "freezing"])
+    def test_solve_after_another_on_the_operator_is_the_lone_solve(self, method, slab):
+        E_lone, lone = solvers.solve(slab(1.0), method=method)
+        p, q = slab(0.8), slab(1.0)
+        assert p.A_lin is q.A_lin
+        solvers.solve(p, method=method)
+        E, report = solvers.solve(q, method=method)
+        assert E.tobytes() == E_lone.tobytes()
+        assert repr(report) == repr(lone)

@@ -1,7 +1,7 @@
 """Print one digest line per solve that the benchmark workloads make, and
 one per output file of three small `nlhelm solve` runs.
 
-    python3 tools/solve_digest.py [--seed N] [--fields DIR] [--against DIR] > digest.txt
+    python3 tools/solve_digest.py [--seed N] [--fields DIR] [--against DIR] [--repeat K] > digest.txt
 
 Imports nlhelm from this checkout's src/ and reads perfbench/workloads.py by
 path (nothing is written under perfbench/). Each workload is built and run
@@ -32,6 +32,12 @@ With --against DIR, a directory that such a run saved, every workload solve
 line gains a fifth column, max|E - E_DIR| / max|E_DIR| against
 DIR/<workload>-<index>.npy (or "missing"), and the exit status is 1 if any
 of them exceeds AGAINST_RTOL or a file is missing.
+
+With --repeat K everything above runs K times in one process and only the
+first run's lines are printed, so the output still diffs against a parent's
+plain run; the exit status is 1 if any later run's lines differ from the
+first run's (each differing line goes to standard error). State that one
+solve leaves behind for the next, in a shared operator say, then shows.
 """
 
 from __future__ import annotations
@@ -83,17 +89,50 @@ def main(argv=None) -> int:
                         help="also save each workload solve's field as DIR/<workload>-<index>.npy")
     parser.add_argument("--against", type=Path, metavar="DIR",
                         help="compare each workload solve's field with DIR/<workload>-<index>.npy")
+    parser.add_argument("--repeat", type=int, default=1, metavar="K",
+                        help="run K times in one process, print the first run and "
+                             "exit 1 if a later run's lines differ")
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     if args.fields is not None:
         args.fields.mkdir(parents=True, exist_ok=True)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # must precede the first numpy import
     sys.path.insert(0, str(ROOT / "src"))
-    import numpy as np
-    from nlhelm import solvers
 
     workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"),
                                run_name="perfbench_workloads")
+    status, first = 0, None
+    for run in range(args.repeat):
+        lines = []
+
+        def emit(*fields):
+            lines.append(" ".join(map(str, fields)))
+            if first is None:
+                print(lines[-1], flush=True)
+
+        ok = _digest_workloads(args, workloads, emit)
+        if not _digest_cli(emit) or not ok:
+            status = 1
+        if first is None:
+            first = lines
+        elif lines != first:
+            status = 1
+            print(f"run {run + 1} differs from run 1:", file=sys.stderr)
+            for sign, these, others in (("-", first, lines), ("+", lines, first)):
+                for line in these:
+                    if line not in others:
+                        print(sign, line, file=sys.stderr)
+    return status
+
+
+def _digest_workloads(args, workloads, emit) -> bool:
+    """emit one line per workload solve; returns whether every workload check
+    passed and every field is within AGAINST_RTOL of --against."""
+    import numpy as np
+    from nlhelm import solvers
+
     solve = solvers.solve
     failed = 0
     differs = []
@@ -112,7 +151,7 @@ def main(argv=None) -> int:
                     print(f"{name} {index}: field {line[-1]} against {args.against}",
                           file=sys.stderr)
                     differs.append(line)
-            print(*line, flush=True)
+            emit(*line)
             if args.fields is not None:
                 np.save(args.fields / f"{name}-{index}.npy", E)
             index += 1
@@ -128,8 +167,7 @@ def main(argv=None) -> int:
         for failure in rec.failures:
             print(f"{name}: {failure}", file=sys.stderr)
         failed += rec.failed
-    cli_ok = _digest_cli()
-    return 1 if failed or differs or not cli_ok else 0
+    return not failed and not differs
 
 
 def _relative_difference(E, path: Path) -> float | None:
@@ -145,9 +183,9 @@ def _relative_difference(E, path: Path) -> float | None:
     return float(np.abs(E - ref).max() / np.abs(ref).max())
 
 
-def _digest_cli() -> bool:
-    """Digest the output files of `nlhelm solve` on each of CLI_CONFIGS;
-    returns whether every run converged (exit status 0)."""
+def _digest_cli(emit) -> bool:
+    """emit one line per output file of `nlhelm solve` on each of
+    CLI_CONFIGS; returns whether every run converged (exit status 0)."""
     from nlhelm import cli
 
     ok = True
@@ -170,8 +208,7 @@ def _digest_cli() -> bool:
                 ok = False
             for file in sorted(out.iterdir()) if out.is_dir() else ():
                 if file.name != "report.json":
-                    print("cli", cfg["name"], file.name, _sha(file.read_bytes()),
-                          flush=True)
+                    emit("cli", cfg["name"], file.name, _sha(file.read_bytes()))
     return ok
 
 
