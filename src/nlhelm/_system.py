@@ -4,11 +4,12 @@ A discrete problem is F(E) = A_lin E + C P(E) - b, with E the complex field
 flattened n-major, P(E) = |E|^{2 sigma} E applied pointwise, A_lin the
 field-independent part (difference operators, boundary closures, material
 terms on E) and C the coupling coefficients multiplying P; a linear problem
-is the case C = 0, which each formula here covers. KerrSystem holds
-(A_lin, C, b, sigma) and evaluates the residual, frozen operators and the
-exact real-split Jacobian, real_split(A_lin) + real_split(C) D(E), both
-splits built once; `helmholtz_nd.HelmholtzProblem` assembles every
-geometry, the 1D slab included, on top of it.
+is the case C = 0, which each formula here covers. KerrSystem is that
+algebra alone, over the A_lin, C, b, sigma and size of its subclass
+`helmholtz_nd.HelmholtzProblem`, which assembles every geometry, the 1D
+slab included, and builds A_lin and C on first use. It evaluates the
+residual, frozen operators and the exact real-split Jacobian,
+real_split(A_lin) + real_split(C) D(E), both splits built once.
 """
 
 from __future__ import annotations
@@ -63,27 +64,14 @@ def kerr_block_entries(e: np.ndarray, sigma: float):
 
 
 class KerrSystem:
-    """Assembled discrete system with a pointwise Kerr nonlinearity."""
-
-    def __init__(self, A_lin: sp.spmatrix, C: sp.spmatrix, b: np.ndarray,
-                 sigma: float, field_shape: tuple[int, ...]):
-        self.A_lin = A_lin.tocsr()
-        self.C = C.tocsr()
-        self.b = np.asarray(b, dtype=np.complex128).reshape(-1)
-        self.sigma = float(sigma)
-        self.field_shape = tuple(field_shape)
-        self.size = self.A_lin.shape[0]
-        assert self.A_lin.shape == (self.size, self.size)
-        assert self.b.shape == (self.size,)
+    """The algebra of an assembled discrete system with a pointwise Kerr
+    nonlinearity. It has no constructor: a subclass provides A_lin and C
+    (complex CSR, size x size), b (complex, size), sigma and size."""
 
     @cached_property
     def _real_split(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
         """real_split_matrix of A_lin and of C, built with the first Jacobian."""
         return real_split_matrix(self.A_lin), real_split_matrix(self.C)
-
-    @property
-    def has_kerr(self) -> bool:
-        return self.C.nnz > 0
 
     def kerr_weights(self, e: np.ndarray) -> np.ndarray:
         """|E|^{2 sigma} per node. Overflow on a diverging iterate is allowed

@@ -455,7 +455,8 @@ def converge(config_path, levels: int) -> int:
     for i in range(levels):
         cfg_i = _refined(base, 2 ** i)
         problem, grid, mat, solver_cfg = build_problem(cfg_i, str(config_path))
-        if fields:  # warm start from the previous level
+        # warm start from the previous level, unless its field is not finite
+        if fields and np.isfinite(fields[-1]).all():
             guess = interpolate_field(fields[-1], grids[-1], grid)
             solver_cfg = dataclasses.replace(solver_cfg, initial_guess=guess)
         E, report = solvers.solve(problem, config=solver_cfg, method=cfg_i.solver)

@@ -39,13 +39,15 @@ returns and every output stay full size.
 
 A problem is an operator and a right-hand side. The operator is all that
 the incoming beams do not change: the transverse suite and eigensystem,
-the six transverse blocks, A_lin and C, and what is built from them on
-first use (the real split, the vacuum factor, the capacitance set-up). The
-beams enter only b, on the two boundary rows. Problems with equal grid,
-material and wall closures share one operator, found under that key in a
-weak-valued table: it lives exactly as long as some problem holds it, and
-holds no reference back, so a discarded set of problems frees its
-operators at once.
+the six transverse blocks and the per-row material coefficients, built
+with the problem, and what is built from them on first use: A_lin and C,
+then the real split, the vacuum factor and the capacitance set-up. A
+solve on the mirror fold reads only its half section's, so it assembles
+no full-size A_lin or C. The beams enter only b, on the two boundary rows.
+Problems with equal grid, material and wall closures share one operator,
+found under that key in a weak-valued table: it lives exactly as long as
+some problem holds it, and holds no reference back, so a discarded set of
+problems frees its operators at once.
 """
 
 from __future__ import annotations
@@ -205,9 +207,10 @@ def _forcing(grid: GridMultiD | Grid1D, k0: float, eig: TransverseEigensystem,
 
 class _Operator:
     """The part of a problem that its incoming beams do not change: the
-    transverse suite and eigensystem, the transverse blocks, A_lin and C.
-    What problems build from it on first use (see _shared) is kept in its
-    __dict__ too. It holds no reference to a problem."""
+    transverse suite and eigensystem, the transverse blocks and the
+    per-row coefficients of _material_rows. What problems build from it on
+    first use (see _shared), A_lin and C included, is kept in its __dict__
+    too. It holds no reference to a problem."""
 
     def __init__(self, grid: GridMultiD | Grid1D, mat: MaterialStack,
                  bottom: TransverseClosure | None, top: TransverseClosure | None):
@@ -215,8 +218,7 @@ class _Operator:
         self.suite = build_transverse_suite(grid, mat.k0, bottom, top)
         self.eigensystem = eigensolve_transverse(self.suite.laplacian, mat.k0, grid.h_z)
         self.blocks = _transverse_blocks(self.suite, self.eigensystem, mat.k0, grid.h_z)
-        self.A_lin, self.C = _assemble(grid, mat.k0, *_material_rows(grid, mat),
-                                       self.blocks)
+        self.rows = _material_rows(grid, mat)
 
 
 # every live operator, keyed by (grid, material, bottom, top closure keys)
@@ -267,9 +269,11 @@ class HelmholtzProblem(KerrSystem):
     A problem holds its own incoming profiles, b and mirror; the rest is its
     operator, shared with every live problem on an equal grid, material and
     pair of closures (`bottom`, `top`; None, the default, is its own key).
-    So A_lin, C, suite and eigensystem are the same objects across those
-    problems, and the real split, vacuum factor and capacitance set-up are
-    built once for all of them. Nothing here changes them in place. The
+    So suite and eigensystem are the same objects across those problems,
+    and A_lin and C, the real split, vacuum factor and capacitance set-up
+    are built once for all of them, on first use: constructing a problem
+    assembles neither A_lin nor C, and a solve on the mirror fold assembles
+    only its half section's. Nothing here changes them in place. The
     operator is freed with the last problem that holds it."""
 
     def __init__(self, grid: GridMultiD | Grid1D, mat: MaterialStack,
@@ -279,15 +283,36 @@ class HelmholtzProblem(KerrSystem):
                  top: TransverseClosure | None = None):
         self.grid = grid
         self.mat = mat
+        self.sigma = float(mat.sigma)
+        self.size, self.field_shape = grid.num_nodes * grid.M, grid.field_shape
         self.einc_left = self._check_profile(einc_left, "left")
         self.einc_right = self._check_profile(einc_right, "right")
         self._operator = op = _operator(grid, mat, bottom, top)
         self.suite, self.eigensystem, self._blocks = op.suite, op.eigensystem, op.blocks
-        b = _forcing(grid, mat.k0, op.eigensystem, self.einc_left, self.einc_right)
-        super().__init__(op.A_lin, op.C, b, mat.sigma, field_shape=grid.field_shape)
+        self.b = _forcing(grid, mat.k0, op.eigensystem, self.einc_left, self.einc_right)
         self.mirror = self._section_mirror()
 
+    @_shared
+    def _assembled(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """(A_lin, C), assembled by the first problem on the operator that
+        reads either."""
+        return _assemble(self.grid, self.k0, *self._operator.rows, self._blocks)
+
+    @property
+    def A_lin(self) -> sp.csr_matrix:
+        return self._assembled[0]
+
+    @property
+    def C(self) -> sp.csr_matrix:
+        return self._assembled[1]
+
     _real_split = _shared(KerrSystem._real_split.func)
+
+    @property
+    def has_kerr(self) -> bool:
+        """Whether C is nonzero: whether any row has eps != 0, read without
+        assembling C."""
+        return bool(self._operator.rows[1].any())
 
     def _section_mirror(self) -> np.ndarray | None:
         """m <-> M-1-m within each row, kept only for a Cartesian section

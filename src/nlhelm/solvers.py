@@ -105,6 +105,9 @@ class NewtonConfig:
         for name in ("max_iterations", "born_inner_iterations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if (self.initial_guess is not None
+                and not np.isfinite(np.asarray(self.initial_guess, dtype=np.complex128)).all()):
+            raise ValueError("initial_guess must be finite")
 
 
 @dataclass(frozen=True)

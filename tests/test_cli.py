@@ -709,6 +709,25 @@ class TestConvergeCommand:
         assert levels == [(16.0, 12.0), (32.0, 24.0)]
         assert "level 1: N=32 M=24" in capsys.readouterr().out
 
+    def test_level_after_a_non_finite_field_starts_from_zero(self, tmp_path, capsys,
+                                                            monkeypatch):
+        path, _ = write_config(tmp_path)
+        guesses = []
+        solve = cli.solvers.solve
+
+        def first_field_nan(problem, config=None, method="newton"):
+            guesses.append(config.initial_guess)
+            E, report = solve(problem, config=config, method=method)
+            return (np.full_like(E, np.nan) if len(guesses) == 1 else E), report
+
+        monkeypatch.setattr(cli.solvers, "solve", first_field_nan)
+        main(["converge", str(path), "--levels", "3"])
+        # level 1 starts from zero; level 2 from level 1's finite field
+        assert guesses[1] is None and np.isfinite(guesses[2]).all()
+        out = capsys.readouterr().out
+        iterations = [int(n) for n in re.findall(r"^level \d.*iterations=(\d+)$", out, re.M)]
+        assert len(iterations) == 3 and min(iterations) > 0
+
     def test_levels_validated(self, tmp_path, capsys):
         path, _ = write_config(tmp_path)
         assert main(["converge", str(path), "--levels", "1"]) == 1

@@ -915,3 +915,113 @@ class TestOperatorSharing:
         E, report = solvers.solve(q, method=method)
         assert E.tobytes() == E_lone.tobytes()
         assert repr(report) == repr(lone)
+
+
+@pytest.fixture
+def assembled(monkeypatch):
+    """The transverse node count M of the grid of every _assemble call."""
+    calls = []
+    assemble = helmholtz_nd._assemble
+
+    def spy(grid, *args):
+        calls.append(grid.M)
+        return assemble(grid, *args)
+
+    monkeypatch.setattr(helmholtz_nd, "_assemble", spy)
+    gc.collect()  # no operator left over from an earlier test is found
+    return calls
+
+
+def slab_1d(eps=0.0625, EincL=1.0):
+    mat = MaterialStack(k0=K0, sigma=1.0, layers=(Layer(0.0, 4.0, 1.2, eps),))
+    return Problem1D(build_grid_1d(4.0, 48), mat, Incoming1D(EincL=EincL))
+
+
+LAZY_CASES = {
+    "1d": lambda right=False: slab_1d(EincL=0.5 if right else 1.0),
+    "cartesian": lambda right=False: kerr_slab(right=right),
+    "cylindrical": lambda right=False: kerr_slab("cylindrical", 4.0, right=right),
+}
+
+
+class TestLazyAssembly:
+    """A_lin and C are assembled on first use, once per operator, so a solve
+    on the mirror fold assembles only its half section."""
+
+    @pytest.mark.parametrize("case", list(LAZY_CASES))
+    def test_construction_assembles_nothing(self, case, assembled):
+        problem = LAZY_CASES[case]()
+        assert (problem.size, problem.field_shape) == (
+            problem.grid.num_nodes * problem.grid.M, problem.grid.field_shape)
+        problem.has_kerr, problem.mirror
+        assert assembled == []
+
+    @pytest.mark.parametrize("use", [
+        lambda p: p.A_lin,
+        lambda p: p.C,
+        lambda p: p.residual_complex(p.b),
+        lambda p: p.jacobian_real(p.b),
+    ], ids=["A_lin", "C", "residual_complex", "jacobian_real"])
+    @pytest.mark.parametrize("case", list(LAZY_CASES))
+    def test_first_use_assembles_once_per_operator(self, case, use, assembled):
+        p = LAZY_CASES[case]()
+        assert assembled == []
+        use(p)
+        assert assembled == [p.grid.M]
+        use(p)
+        q = LAZY_CASES[case](right=True)
+        use(q)
+        assert not np.array_equal(p.b, q.b)
+        assert q.A_lin is p.A_lin and q.C is p.C
+        assert assembled == [p.grid.M]
+
+    # A_lin and C once; Born's A_lin - A0 and the capacitance set-up of the
+    # separable start each assemble the half's vacuum operator too
+    @pytest.mark.parametrize("method,M,N,calls", [
+        ("newton", 56, 32, 1),
+        # 10,224 real unknowns: Newton starts from the half's separable inverse
+        ("newton", 72, 64, 2),
+        ("born", 56, 40, 2),
+        ("freezing", 56, 48, 1),
+    ], ids=["newton", "newton-separable-start", "born", "freezing"])
+    def test_folded_solve_assembles_only_the_half(self, method, M, N, calls, assembled):
+        mat = MaterialStack(k0=K0, sigma=1.0, layers=(Layer(0.0, 4.0, 1.0, 0.0625),))
+        grid = quiet_grid(4.0, N, 6.0, M, "cartesian")
+        einc = make_incoming(BeamSpec(shape="sech", r0=math.sqrt(2.0)), grid, mat)
+        problem = HelmholtzProblem(grid, mat, einc_left=einc)
+        assert assembled == []
+        _, report = solvers.solve(problem, method=method)
+        assert report.mirror_folded and report.converged
+        assert assembled == [M // 2] * calls
+
+    @pytest.mark.parametrize("case", [
+        "1d-linear", "1d-kerr", "1d-three-layer", "1d-negative-eps",
+        "cartesian-linear", "cartesian-kerr", "cylindrical-linear", "cylindrical-kerr",
+    ])
+    def test_has_kerr_is_C_nonzero_without_assembling(self, case, assembled):
+        if case == "1d-three-layer":
+            problem = Problem1D(build_grid_1d(4.0, 64), three_layer(), Incoming1D(EincL=1.0))
+        elif case.startswith("1d"):
+            problem = slab_1d({"1d-linear": 0.0, "1d-kerr": 0.0625,
+                               "1d-negative-eps": -0.05}[case])
+        else:
+            geometry, kind = case.split("-")
+            eps = 0.1 if kind == "kerr" else 0.0
+            mat = MaterialStack(k0=K0, sigma=1.0, layers=(Layer(0.0, 4.0, 1.0, eps),))
+            grid = quiet_grid(4.0, 32, 4.0, 12, geometry)
+            problem = HelmholtzProblem(grid, mat, einc_left=np.ones(12, dtype=complex))
+        has_kerr = problem.has_kerr
+        assert assembled == []
+        assert has_kerr == (problem.C.nnz > 0) == (not case.endswith("linear"))
+
+    def test_discarded_build_frees_its_operators(self, assembled):
+        gc.disable()
+        try:
+            problems = [LAZY_CASES[case]() for case in LAZY_CASES]
+            operators = [weakref.ref(p._operator) for p in problems]
+            problems[0].A_lin  # freed whether assembled or not
+            assert assembled == [1]
+            del problems
+            assert [op() for op in operators] == [None] * 3
+        finally:
+            gc.enable()

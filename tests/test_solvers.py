@@ -7,6 +7,7 @@ step sizes, quadratic tail contraction) and against cross-method agreement
 on problems where every method is in its convergence domain.
 """
 
+import dataclasses
 import math
 import warnings
 import weakref
@@ -159,6 +160,15 @@ class TestConfig:
     def test_non_finite_tolerance_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             NewtonConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_initial_guess_rejected(self, value):
+        guess = np.zeros(8, dtype=complex)
+        guess[3] = value
+        with pytest.raises(ValueError, match="initial_guess must be finite"):
+            NewtonConfig(initial_guess=guess)
+        with pytest.raises(ValueError, match="initial_guess must be finite"):
+            dataclasses.replace(NewtonConfig(), initial_guess=guess)
 
     def test_initial_guess_size_checked(self):
         problem = kerr_problem()
