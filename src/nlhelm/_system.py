@@ -4,18 +4,15 @@ A discrete problem is F(E) = A_lin E + C P(E) - b, with E the complex field
 flattened n-major, P(E) = |E|^{2 sigma} E applied pointwise, A_lin the
 field-independent part (difference operators, boundary closures, material
 terms on E) and C the coupling coefficients multiplying P; a linear problem
-is the case C = 0, which each formula here covers. KerrSystem is that
-algebra alone, over the A_lin, C, b, sigma and size of its subclass
-`helmholtz_nd.HelmholtzProblem`, which assembles every geometry, the 1D
-slab included, and builds A_lin and C on first use. It evaluates the
-residual, frozen operators and the exact real-split Jacobian,
-real_split(A_lin) + real_split(C) D(E), both splits built once.
+is the case C = 0, which each formula here covers. KerrSystem evaluates
+the residual, frozen operators and the exact real-split Jacobian,
+real_split(A_lin) + real_split(C) D(E), over the matrices that its
+subclass `helmholtz_nd.HelmholtzProblem` provides (see `_Operator` there).
 """
 
 from __future__ import annotations
 
 import warnings
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,13 +62,9 @@ def kerr_block_entries(e: np.ndarray, sigma: float):
 
 class KerrSystem:
     """The algebra of an assembled discrete system with a pointwise Kerr
-    nonlinearity. It has no constructor: a subclass provides A_lin and C
-    (complex CSR, size x size), b (complex, size), sigma and size."""
-
-    @cached_property
-    def _real_split(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """real_split_matrix of A_lin and of C, built with the first Jacobian."""
-        return real_split_matrix(self.A_lin), real_split_matrix(self.C)
+    nonlinearity. It has no constructor and caches nothing: a subclass
+    provides A_lin and C (complex CSR, size x size), _real_split (their
+    real_split_matrix pair), b (complex, size), sigma and size."""
 
     def kerr_weights(self, e: np.ndarray) -> np.ndarray:
         """|E|^{2 sigma} per node. Overflow on a diverging iterate is allowed

@@ -10,6 +10,7 @@ column M = 1 of the multi-D scheme; every grid states its field shape.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -195,6 +196,14 @@ def _check_positive_finite(**values):
             raise InvalidGrid(f"{name} must be positive and finite, got {value}")
 
 
+def _check_count(name: str, value, least: int):
+    """A node count: an integer (NumPy's too; a float is not truncated)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidGrid(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidGrid(f"{name} must be at least {least}, got {value}")
+
+
 def homogeneous_stack(k0: float, Zmax: float, nu: float = 1.0, eps: float = 0.0,
                       sigma: float = 1.0) -> MaterialStack:
     """Single-layer stack covering [0, Zmax]."""
@@ -204,8 +213,7 @@ def homogeneous_stack(k0: float, Zmax: float, nu: float = 1.0, eps: float = 0.0,
 def build_grid_1d(Zmax: float, N: int) -> Grid1D:
     """Uniform grid with h = Zmax/N. Requires N >= 8 (the interface and
     boundary stencils need 7 nodes on the interior side)."""
-    if N < 8:
-        raise InvalidGrid(f"N must be at least 8, got {N}")
+    _check_count("N", N, 8)
     _check_positive_finite(Zmax=Zmax)
     return Grid1D(N=int(N), Zmax=float(Zmax), h=float(Zmax) / int(N))
 
@@ -216,10 +224,8 @@ def build_grid_multi(Zmax: float, N: int, extent: float, M: int,
     differ by more than a factor of 4."""
     if geometry not in ("cartesian", "cylindrical"):
         raise InvalidGrid(f"unknown geometry {geometry!r}")
-    if N < 8:
-        raise InvalidGrid(f"N must be at least 8, got {N}")
-    if M < 1:
-        raise InvalidGrid(f"M must be at least 1, got {M}")
+    _check_count("N", N, 8)
+    _check_count("M", M, 1)
     _check_positive_finite(Zmax=Zmax, extent=extent)
     h_z = float(Zmax) / int(N)
     width = 2.0 * extent if geometry == "cartesian" else float(extent)

@@ -14,7 +14,7 @@ The boundary rows use the transverse eigensystem: the ghost column one step
 outside the domain is a per-mode combination of incoming injection and
 one-step outward propagation, giving dense M x M blocks at those two rows
 only. The same eigenbasis splits the uniform vacuum operator into M
-tridiagonal systems, factored once per problem, and one mode-space pipeline
+tridiagonal systems, factored once per operator, and one mode-space pipeline
 applies them: forward transform, one tridiagonal solve, an optional
 correction, back transform. `vacuum_solve` is that pipeline. A_lin differs
 from the vacuum operator only on the rows of material jumps and of nu != 1;
@@ -37,17 +37,9 @@ mirror closure that closes a cylindrical section at its axis; the solvers
 iterate on it from a symmetric start (see `fold`). The field a solver
 returns and every output stay full size.
 
-A problem is an operator and a right-hand side. The operator is all that
-the incoming beams do not change: the transverse suite and eigensystem,
-the six transverse blocks and the per-row material coefficients, built
-with the problem, and what is built from them on first use: A_lin and C,
-then the real split, the vacuum factor and the capacitance set-up. A
-solve on the mirror fold reads only its half section's, so it assembles
-no full-size A_lin or C. The beams enter only b, on the two boundary rows.
-Problems with equal grid, material and wall closures share one operator,
-found under that key in a weak-valued table: it lives exactly as long as
-some problem holds it, and holds no reference back, so a discarded set of
-problems frees its operators at once.
+A problem is an operator and a right-hand side: the incoming beams enter
+only b, on the two boundary rows, and the rest is an `_Operator`, shared by
+the live problems that differ only in their beams (see `_Operator`).
 """
 
 from __future__ import annotations
@@ -61,7 +53,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import solvers
-from ._system import KerrSystem, kerr_block_entries
+from ._system import KerrSystem, kerr_block_entries, real_split_matrix
 from .fields import (
     Grid1D,
     GridMultiD,
@@ -206,19 +198,104 @@ def _forcing(grid: GridMultiD | Grid1D, k0: float, eig: TransverseEigensystem,
 
 
 class _Operator:
-    """The part of a problem that its incoming beams do not change: the
-    transverse suite and eigensystem, the transverse blocks and the
-    per-row coefficients of _material_rows. What problems build from it on
-    first use (see _shared), A_lin and C included, is kept in its __dict__
-    too. It holds no reference to a problem."""
+    """The part of a problem that its incoming beams do not change, shared by
+    every live problem on an equal grid, material and pair of wall closures.
+    Built with the first such problem: the transverse suite and eigensystem,
+    the six transverse blocks and the per-row coefficients of
+    _material_rows. Built from them on first use, and kept: A_lin and C,
+    their real splits, the vacuum factor and the capacitance set-up. So
+    constructing a problem assembles nothing, and a solve on the mirror fold
+    assembles only its half section's. Nothing is changed in place once
+    built. It holds no reference to a problem, so reference counting alone
+    frees it with the last problem that holds it."""
 
     def __init__(self, grid: GridMultiD | Grid1D, mat: MaterialStack,
                  bottom: TransverseClosure | None, top: TransverseClosure | None):
+        self.grid, self.k0 = grid, mat.k0
         # looked up as module globals at call time, where a tracer may wrap them
         self.suite = build_transverse_suite(grid, mat.k0, bottom, top)
         self.eigensystem = eigensolve_transverse(self.suite.laplacian, mat.k0, grid.h_z)
         self.blocks = _transverse_blocks(self.suite, self.eigensystem, mat.k0, grid.h_z)
         self.rows = _material_rows(grid, mat)
+
+    @cached_property
+    def assembled(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """(A_lin, C), from one _assemble call."""
+        return _assemble(self.grid, self.k0, *self.rows, self.blocks)
+
+    @cached_property
+    def real_split(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """real_split_matrix of A_lin and of C, built with the first Jacobian."""
+        A_lin, C = self.assembled
+        return real_split_matrix(A_lin), real_split_matrix(C)
+
+    def vacuum_operator(self) -> sp.csr_matrix:
+        """Uniform linear operator A0: every non-boundary row a compact row
+        with W = 1, eps = 0. Assembled on each call and not kept: each Born
+        solve needs it once (A_lin - A0), the capacitance set-up once, and a
+        kept copy would stay resident through Newton's later LUs."""
+        n = self.grid.num_nodes - 2
+        A0, _ = _assemble(self.grid, self.k0, np.ones(n), np.zeros(n),
+                          np.zeros(n, dtype=bool), self.blocks)
+        return A0
+
+    @cached_property
+    def vacuum_inverse(self):
+        """(forward transform, gttrf factor, back transform) of the
+        problems' _mode_solve. The factor is that of the M per-mode tridiagonal
+        systems stacked mode-major; zero off-diagonals uncouple the blocks."""
+        eig, R, k0 = self.eigensystem, self.grid.num_nodes, self.k0
+        c = _ghost_weight(k0, self.grid.h_z)
+        off = np.full(eig.M * R - 1, c, dtype=np.complex128)
+        off[R - 1::R] = 0.0
+        main = np.repeat((-2.0 * c + k0 * k0 + eig.eigenvalues)[:, None], R, axis=1)
+        main[:, [0, -1]] += (c * eig.roots)[:, None]
+        *factor, info = scipy.linalg.lapack.zgttrf(off, main.reshape(-1), off)
+        if info:
+            raise np.linalg.LinAlgError("singular vacuum operator")
+        return eig.modes_inverse.T, factor, eig.modes.T
+
+    @cached_property
+    def capacitance(self):
+        """The correction of _mode_solve that makes it A_lin^{-1} by the
+        capacitance method, or None where the method declines.
+
+        A_lin = A0 + E_r D_r, with r every node of the longitudinal rows P
+        where D = A_lin - A0 is nonzero and E_r the identity columns r; then
+        A_lin^{-1} = A0^{-1} - A0^{-1} E_r S^{-1} D_r A0^{-1} with the k x k
+        capacitance S = I + D_r A0^{-1} E_r (k = M len(P)). In the transverse
+        eigenbasis V, A0^{-1} E_r is the per-mode Green's functions
+        G[l, :, j] = g_l(., P[j]), one tridiagonal solve; D_r reads only the
+        rows Q, so column block j of S - I is the sum over q in Q of
+        D_r[:, q] V diag(G[:, q, j]) V^{-1}. No vacuum solve is made. The
+        correction of a mode-space solution y is G V^{-1} S^{-1} D_r y on
+        rows Q. Declined when S would not be small next to A_lin:
+        k^2 > A_lin.nnz, as for a nu != 1 interior or a dense grating."""
+        M, R, eig = self.grid.M, self.grid.num_nodes, self.eigensystem
+        A_lin, _ = self.assembled
+        D = (A_lin - self.vacuum_operator()).tocsr()
+        P = np.unique(np.flatnonzero(np.diff(D.indptr)) // M)
+        p, k = P.size, P.size * M
+        if k * k > A_lin.nnz:
+            return None
+        D_r = D[np.ravel(P[:, None] * M + np.arange(M))]
+        Q = np.unique(D_r.indices // M)
+        D_r = D_r[:, np.ravel(Q[:, None] * M + np.arange(M))].toarray()
+        units = np.zeros((M, R, p), dtype=np.complex128)
+        units[:, P, np.arange(p)] = 1.0
+        G, _ = scipy.linalg.lapack.zgttrs(*self.vacuum_inverse[1], units.reshape(-1, p))
+        G = G.reshape(M, R, p)
+        DV = D_r.reshape(k, -1, M) @ eig.modes
+        S = (np.einsum("kql,lqj->kjl", DV, G[:, Q]) @ eig.modes_inverse).reshape(k, k)
+        S = scipy.linalg.lu_factor(S + np.identity(k))
+        forward, _, back = self.vacuum_inverse
+
+        def correction(y: np.ndarray) -> np.ndarray:
+            z = scipy.linalg.lu_solve(S, D_r @ (y[:, Q].T @ back).reshape(-1))
+            a = z.reshape(-1, M) @ forward
+            return (G @ a.T[:, :, None])[..., 0]
+
+        return correction
 
 
 # every live operator, keyed by (grid, material, bottom, top closure keys)
@@ -247,66 +324,39 @@ def _operator(grid: GridMultiD | Grid1D, mat: MaterialStack,
     return op
 
 
-class _shared(cached_property):
-    """A cached_property kept on the problem's operator, not on the problem,
-    so it is built once, by the first problem that asks, for every problem
-    on that operator. Only for values of the operator, never of b."""
-
-    def __get__(self, problem, owner=None):
-        if problem is None:
-            return self
-        store = vars(problem._operator)
-        if self.attrname not in store:
-            store[self.attrname] = self.func(problem)
-        return store[self.attrname]
-
-
 class HelmholtzProblem(KerrSystem):
     """Assembled problem of any geometry, the 1D slab included: the Kerr
     algebra of KerrSystem plus the vacuum solve, the separable inverse of
-    A_lin and the mirror fold that the solvers use.
-
-    A problem holds its own incoming profiles, b and mirror; the rest is its
-    operator, shared with every live problem on an equal grid, material and
-    pair of closures (`bottom`, `top`; None, the default, is its own key).
-    So suite and eigensystem are the same objects across those problems,
-    and A_lin and C, the real split, vacuum factor and capacitance set-up
-    are built once for all of them, on first use: constructing a problem
-    assembles neither A_lin nor C, and a solve on the mirror fold assembles
-    only its half section's. Nothing here changes them in place. The
-    operator is freed with the last problem that holds it."""
+    A_lin and the mirror fold that the solvers use. It holds its incoming
+    profiles, b and mirror; the rest is its operator (see _Operator), whose
+    key includes the wall closures `bottom` and `top` (None by default)."""
 
     def __init__(self, grid: GridMultiD | Grid1D, mat: MaterialStack,
                  einc_left: np.ndarray | None = None,
                  einc_right: np.ndarray | None = None,
                  bottom: TransverseClosure | None = None,
                  top: TransverseClosure | None = None):
-        self.grid = grid
-        self.mat = mat
+        self.grid, self.mat = grid, mat
         self.sigma = float(mat.sigma)
         self.size, self.field_shape = grid.num_nodes * grid.M, grid.field_shape
         self.einc_left = self._check_profile(einc_left, "left")
         self.einc_right = self._check_profile(einc_right, "right")
         self._operator = op = _operator(grid, mat, bottom, top)
-        self.suite, self.eigensystem, self._blocks = op.suite, op.eigensystem, op.blocks
+        self.suite, self.eigensystem = op.suite, op.eigensystem
         self.b = _forcing(grid, mat.k0, op.eigensystem, self.einc_left, self.einc_right)
         self.mirror = self._section_mirror()
 
-    @_shared
-    def _assembled(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """(A_lin, C), assembled by the first problem on the operator that
-        reads either."""
-        return _assemble(self.grid, self.k0, *self._operator.rows, self._blocks)
-
     @property
     def A_lin(self) -> sp.csr_matrix:
-        return self._assembled[0]
+        return self._operator.assembled[0]
 
     @property
     def C(self) -> sp.csr_matrix:
-        return self._assembled[1]
+        return self._operator.assembled[1]
 
-    _real_split = _shared(KerrSystem._real_split.func)
+    @property
+    def _real_split(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        return self._operator.real_split
 
     @property
     def has_kerr(self) -> bool:
@@ -324,7 +374,7 @@ class HelmholtzProblem(KerrSystem):
         if grid.geometry != "cartesian" or M % 2 or narrow:
             return None
         flip = np.arange(M)[::-1]
-        parts = (*self._blocks, self.b[:M], self.b[-M:])
+        parts = (*self._operator.blocks, self.b[:M], self.b[-M:])
         if all(mirror_invariant(x, flip) for x in parts):
             return (np.arange(grid.num_nodes)[:, None] * M + flip).reshape(-1)
         return None
@@ -371,79 +421,15 @@ class HelmholtzProblem(KerrSystem):
         return self.mat.k0
 
     def vacuum_operator(self) -> sp.csr_matrix:
-        """Uniform linear operator: every non-boundary row a compact row
-        with W = 1, eps = 0. Assembled on each call and not kept: each Born
-        solve needs it once (A_lin - A0), the capacitance set-up once per
-        operator, and a kept copy would stay resident through Newton's
-        later LUs."""
-        n = self.grid.num_nodes - 2
-        A0, _ = _assemble(self.grid, self.k0, np.ones(n), np.zeros(n),
-                          np.zeros(n, dtype=bool), self._blocks)
-        return A0
-
-    @_shared
-    def _vacuum_inverse(self):
-        """(forward transform, gttrf factor, back transform) of _mode_solve,
-        built on first use. The factor is that of the M per-mode tridiagonal
-        systems stacked mode-major; zero off-diagonals uncouple the blocks."""
-        eig, R, k0 = self.eigensystem, self.grid.num_nodes, self.k0
-        c = _ghost_weight(k0, self.grid.h_z)
-        off = np.full(eig.M * R - 1, c, dtype=np.complex128)
-        off[R - 1::R] = 0.0
-        main = np.repeat((-2.0 * c + k0 * k0 + eig.eigenvalues)[:, None], R, axis=1)
-        main[:, [0, -1]] += (c * eig.roots)[:, None]
-        *factor, info = scipy.linalg.lapack.zgttrf(off, main.reshape(-1), off)
-        if info:
-            raise np.linalg.LinAlgError("singular vacuum operator")
-        return eig.modes_inverse.T, factor, eig.modes.T
-
-    @_shared
-    def _capacitance(self):
-        """(support rows Q, D_r on them, G, LU of S) of the capacitance
-        method, built on first use, or None where it declines.
-
-        A_lin = A0 + E_r D_r, with r every node of the longitudinal rows P
-        where D = A_lin - A0 is nonzero and E_r the identity columns r; then
-        A_lin^{-1} = A0^{-1} - A0^{-1} E_r S^{-1} D_r A0^{-1} with the k x k
-        capacitance S = I + D_r A0^{-1} E_r (k = M len(P)). In the transverse
-        eigenbasis V, A0^{-1} E_r is the per-mode Green's functions
-        G[l, :, j] = g_l(., P[j]), one tridiagonal solve; D_r reads only the
-        rows Q, so column block j of S - I is the sum over q in Q of
-        D_r[:, q] V diag(G[:, q, j]) V^{-1}. No vacuum solve is made.
-        Declined when S would not be small next to A_lin: k^2 > A_lin.nnz,
-        as for a nu != 1 interior or a dense grating."""
-        M, R, eig = self.grid.M, self.grid.num_nodes, self.eigensystem
-        D = (self.A_lin - self.vacuum_operator()).tocsr()
-        P = np.unique(np.flatnonzero(np.diff(D.indptr)) // M)
-        p, k = P.size, P.size * M
-        if k * k > self.A_lin.nnz:
-            return None
-        D_r = D[np.ravel(P[:, None] * M + np.arange(M))]
-        Q = np.unique(D_r.indices // M)
-        D_r = D_r[:, np.ravel(Q[:, None] * M + np.arange(M))].toarray()
-        units = np.zeros((M, R, p), dtype=np.complex128)
-        units[:, P, np.arange(p)] = 1.0
-        G, _ = scipy.linalg.lapack.zgttrs(*self._vacuum_inverse[1], units.reshape(-1, p))
-        G = G.reshape(M, R, p)
-        DV = D_r.reshape(k, -1, M) @ eig.modes
-        S = (np.einsum("kql,lqj->kjl", DV, G[:, Q]) @ eig.modes_inverse).reshape(k, k)
-        return Q, D_r, G, scipy.linalg.lu_factor(S + np.identity(k))
+        """The vacuum operator A0, assembled on each call (see _Operator)."""
+        return self._operator.vacuum_operator()
 
     def linear_inverse(self):
-        """A_lin^{-1} by the capacitance method (see _capacitance) as a
-        function of a complex vector, or None where it declines; set up on
-        the first call: _mode_solve less G V^{-1} S^{-1} D_r on rows Q."""
-        if self._capacitance is None:
+        """A_lin^{-1} by the capacitance method (see _Operator.capacitance)
+        as a function of a complex vector, or None where it declines."""
+        correction = self._operator.capacitance
+        if correction is None:
             return None
-        Q, D_r, G, S = self._capacitance
-        forward, _, back = self._vacuum_inverse
-        M = self.grid.M
-
-        def correction(y: np.ndarray) -> np.ndarray:
-            z = scipy.linalg.lu_solve(S, D_r @ (y[:, Q].T @ back).reshape(-1))
-            a = z.reshape(-1, M) @ forward
-            return (G @ a.T[:, :, None])[..., 0]
-
         return lambda rhs: self._mode_solve(rhs, correction)
 
     def vacuum_solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -456,7 +442,7 @@ class HelmholtzProblem(KerrSystem):
         per-mode tridiagonals, less correction(y) of that (M, R) solution y
         if given, and back."""
         R = self.grid.num_nodes
-        forward, factor, back = self._vacuum_inverse
+        forward, factor, back = self._operator.vacuum_inverse
         U = rhs.reshape(R, -1) @ forward
         y, _ = scipy.linalg.lapack.zgttrs(*factor, U.T.reshape(-1))
         y = y.reshape(-1, R)

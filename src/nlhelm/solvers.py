@@ -57,6 +57,7 @@ controlled failure is reported through the SolveReport.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -103,7 +104,10 @@ class NewtonConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         for name in ("max_iterations", "born_inner_iterations"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be at least 1")
         if (self.initial_guess is not None
                 and not np.isfinite(np.asarray(self.initial_guess, dtype=np.complex128)).all()):

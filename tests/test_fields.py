@@ -140,6 +140,29 @@ class TestGridMultiD:
             build_grid_multi(Zmax, 8, extent, 4, "cartesian")
 
 
+# each node count of each builder, as a function of that count
+COUNTS = {
+    "1d-N": lambda n: build_grid_1d(5.0, n),
+    "multi-N": lambda n: build_grid_multi(4.0, n, 2.0, 12, "cartesian"),
+    "multi-M": lambda m: build_grid_multi(4.0, 32, 2.0, m, "cartesian"),
+}
+
+
+class TestGridCounts:
+    """A node count is an integer: a float is named, not truncated."""
+
+    @pytest.mark.parametrize("count", [64.7, 12.5, np.nan, np.inf, True])
+    @pytest.mark.parametrize("case", list(COUNTS))
+    def test_non_integral_count_rejected(self, case, count):
+        with pytest.raises(InvalidGrid, match=f"^{case[-1]} must be an integer, got"):
+            COUNTS[case](count)
+
+    @pytest.mark.parametrize("case", list(COUNTS))
+    def test_numpy_integer_count_accepted(self, case):
+        grid = COUNTS[case](np.int64(16))
+        assert getattr(grid, case[-1]) == 16
+
+
 class TestMaterialStack:
     def test_contiguity_enforced(self):
         with pytest.raises(InvalidGrid):

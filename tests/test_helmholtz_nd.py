@@ -12,6 +12,7 @@ import math
 import runpy
 import warnings
 import weakref
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,7 @@ from nlhelm import (
     to_real_split,
 )
 from nlhelm import helmholtz_nd
-from nlhelm._system import kerr_block_entries, real_split_matrix
+from nlhelm._system import KerrSystem, kerr_block_entries, real_split_matrix
 from nlhelm.helmholtz_nd import _material_rows, mirror_invariant
 
 K0 = 4.0
@@ -815,10 +816,44 @@ class TestOperatorSharing:
         # each built while no other problem on its operator is alive
         alone = [operator_bytes(kerr_slab(**kw)) for kw in beams]
         p, q = (kerr_slab(**kw) for kw in beams)
-        for name in ("A_lin", "C", "suite", "eigensystem"):
+        p.jacobian_real(p.b)
+        for name in ("A_lin", "C", "_real_split", "suite", "eigensystem"):
             assert getattr(p, name) is getattr(q, name)
         assert not np.array_equal(p.b, q.b)
         assert [operator_bytes(p), operator_bytes(q)] == alone
+
+    def test_separable_inverse_set_up_once_per_operator(self, monkeypatch):
+        factored, vacuum = [], []
+        zgttrf, assemble = scipy.linalg.lapack.zgttrf, helmholtz_nd._assemble
+        monkeypatch.setattr(scipy.linalg.lapack, "zgttrf",
+                            lambda *a: factored.append(a[1].size) or zgttrf(*a))
+
+        def spy(grid, k0, W, eps, *args):
+            # the vacuum operator A0 is the assembly with eps = 0 on every row
+            vacuum.append(not eps.any())
+            return assemble(grid, k0, W, eps, *args)
+
+        monkeypatch.setattr(helmholtz_nd, "_assemble", spy)
+        gc.collect()  # no operator left over from an earlier test is found
+        p, q = kerr_slab(), kerr_slab(right=True)
+        p.linear_inverse()
+        q.linear_inverse()
+        assert len(factored) == 1
+        assert vacuum == [False, True]  # A_lin and C, then A0
+
+    def test_problem_keeps_only_its_own_state(self):
+        # everything built from the operator is kept on the operator
+        p = kerr_slab("cylindrical", 4.0)
+        _, report = solvers.solve(p)
+        assert report.converged and not report.mirror_folded
+        p.linear_inverse()(p.b)
+        assert set(vars(p)) == {"grid", "mat", "sigma", "size", "field_shape",
+                                "einc_left", "einc_right", "b", "mirror",
+                                "_operator", "suite", "eigensystem"}
+
+    def test_kerr_system_caches_nothing(self):
+        assert not [name for name, value in vars(KerrSystem).items()
+                    if isinstance(value, cached_property)]
 
     @pytest.mark.parametrize("change", ["eps", "k0", "N", "closure"])
     def test_any_other_key_gets_its_own_operator(self, change):

@@ -1,11 +1,17 @@
 """The package's public surface: the names `import nlhelm` exports, where
-each is defined, and that each module's `__all__` declares its own names."""
+each is defined, that each module's `__all__` declares its own names, and
+that the project's version is the package's."""
 
 import importlib
 import pkgutil
 import sys
+from pathlib import Path
+
+import pytest
 
 import nlhelm
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 PUBLIC_NAMES = [
     "Abc1DClosure", "AdjustmentUndefined", "BeamSpec", "ConfigError",
@@ -55,3 +61,12 @@ def test_no_name_is_declared_by_two_modules():
         for name in getattr(module, "__all__", ()):
             assert name not in owner, f"{name} in {owner.get(name)} and {info.name}"
             owner[name] = info.name
+
+
+def test_version_is_read_from_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads(PYPROJECT.read_text())
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"] == {
+        "version": {"attr": "nlhelm.__version__"}}

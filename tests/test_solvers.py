@@ -170,6 +170,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="initial_guess must be finite"):
             dataclasses.replace(NewtonConfig(), initial_guess=guess)
 
+    @pytest.mark.parametrize("name", ["max_iterations", "born_inner_iterations"])
+    @pytest.mark.parametrize("value", [2.5, math.nan, True], ids=["float", "nan", "bool"])
+    def test_non_integral_iteration_count_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            NewtonConfig(**{name: value})
+
+    def test_numpy_integer_iteration_counts_accepted(self):
+        config = NewtonConfig(max_iterations=np.int64(3), born_inner_iterations=np.int64(3))
+        for method in ("newton", "born"):
+            _, report = solvers.solve(kerr_problem(), config=config, method=method)
+            assert 1 <= report.iterations <= 3
+
     def test_initial_guess_size_checked(self):
         problem = kerr_problem()
         with pytest.raises(ValueError):
