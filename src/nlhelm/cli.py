@@ -242,7 +242,11 @@ def build_problem(cfg: RunConfig, source: str = "<config>"):
             return np.array([0j if beam is None else _amplitude(beam)])
         return None if beam is None else _incoming(beam, side, grid, mat, source)
 
-    problem = HelmholtzProblem(grid, mat, incoming("left"), incoming("right"))
+    left, right = incoming("left"), incoming("right")
+    try:
+        problem = HelmholtzProblem(grid, mat, left, right)
+    except (NlhError, ValueError) as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
     return problem, grid, mat, cfg.newton_config()
 
 
@@ -476,16 +480,18 @@ def converge(config_path, levels: int) -> int:
 def compare_nls(config_path) -> int:
     """Solve the full model, march the paraxial reference from the same
     (unadjusted) input beam, and write the on-axis comparison."""
-    cfg = load_config(config_path)
+    cfg, source = load_config(config_path), str(config_path)
     if cfg.geometry == "1d" or cfg.beam_left is None:
-        raise ConfigError("compare-nls needs a multi-D config with a left beam")
-    problem, grid, mat, solver_cfg = build_problem(cfg, str(config_path))
+        raise ConfigError(f"{source}: compare-nls needs a multi-D config with a left beam")
+    problem, grid, mat, solver_cfg = build_problem(cfg, source)
+    # the paraxial model is one medium with nu = 1
+    eps = mat.layers[0].eps
+    if any(layer.nu != 1.0 or layer.eps != eps for layer in mat.layers):
+        raise ConfigError(f"{source}: layers: compare-nls needs nu = 1 and the "
+                          f"first layer's eps = {eps:g} in every layer")
     E, report = solvers.solve(problem, config=solver_cfg, method=cfg.solver)
-    nls_initial = _incoming({**cfg.beam_left, "adjust": False}, "left", grid, mat,
-                            str(config_path))
-    first_layer = mat.layers[0]
-    result = nls_march(grid, mat.k0, first_layer.eps, mat.sigma,
-                       nls_initial, dz=grid.h_z)
+    nls_initial = _incoming({**cfg.beam_left, "adjust": False}, "left", grid, mat, source)
+    result = nls_march(grid, mat.k0, eps, mat.sigma, nls_initial, dz=grid.h_z)
     axis = on_axis_index(grid)
     n = np.arange(grid.N + 1)
     z_nodes = grid.z(n)

@@ -8,7 +8,8 @@ unknowns; transverse derivatives (through the closures of the transverse
 module) appear as M x M blocks. The material enters only through per-row
 coefficient arrays (nu^2, eps, and whether the row is an interface row), so
 each operator is a fixed sum of Kronecker products kron(Z, B): Z an R x R
-longitudinal matrix of those coefficients, B one of six transverse blocks.
+longitudinal matrix of those coefficients, B the identity, one of the
+transverse suite's operators, or the boundary or compact-C combination.
 
 The boundary rows use the transverse eigensystem: the ghost column one step
 outside the domain is a per-mode combination of incoming injection and
@@ -28,7 +29,7 @@ the slab problem: a `Grid1D` is that single column, and every geometry,
 Unknown ordering is n-major, m-minor; the real split interleaves (Re, Im)
 per node (see fields.to_real_split).
 
-A Cartesian section with even M whose transverse blocks and boundary-row
+A Cartesian section with even M whose transverse operators and boundary-row
 forcing are invariant under m <-> M-1-m (a centred, untilted, even beam
 between like walls, each half wide enough for its wall closure) gets that
 reflection within each row as its `mirror`. Its `half_section()` is the
@@ -126,31 +127,18 @@ def _ghost_weight(k0: float, h: float) -> float:
     return (1.0 + k0 * k0 * h * h / 12.0) / (h * h)
 
 
-def _transverse_blocks(suite: TransverseSuite, eig: TransverseEigensystem,
-                       k0: float, h: float):
-    """The M x M blocks the operators are Kronecker sums over:
-    (I, A_t, T2, T_L, two-way boundary block, compact block of C)."""
-    I_M = sp.identity(suite.laplacian.shape[0], dtype=np.complex128, format="csr")
-    c = _ghost_weight(k0, h)
-    # ghost column eliminated through per-mode one-step propagation
-    boundary = (c * sp.csr_matrix(eig.propagation_matrix) + suite.laplacian
-                + (-2.0 * c + k0 * k0) * I_M)
-    compact = (10.0 / 12.0) * I_M - (h * h / 12.0) * suite.compact_correction
-    return (I_M, suite.row_coupler, suite.compact_correction,
-            suite.interface_laplacian, boundary, compact)
-
-
 def _assemble(grid: GridMultiD | Grid1D, k0: float, W: np.ndarray, eps: np.ndarray,
-              interface: np.ndarray, blocks: tuple):
+              interface: np.ndarray, suite: TransverseSuite, eig: TransverseEigensystem):
     """(A_lin, C) for the per-row coefficients of _material_rows.
 
-    A_lin and C are fixed sums of kron(Z, B): B one of the `blocks` of
-    _transverse_blocks, Z an R x R longitudinal matrix of per-row
-    coefficients, zero on the rows the term does not touch. Rows 0 and R-1
-    are the two-way boundary rows.
+    A_lin and C are fixed sums of kron(Z, B): Z an R x R longitudinal matrix
+    of per-row coefficients, zero on the rows the term does not touch, and B
+    the identity, an operator of the suite, or one of two combinations formed
+    here: the two-way boundary block of rows 0 and R-1 and the compact block
+    of C.
     """
     R, M, h = grid.num_nodes, grid.M, grid.h_z
-    I_M, A_t, T2, T_L, boundary, compact = blocks
+    I_M = sp.identity(M, dtype=np.complex128, format="csr")
     c = _ghost_weight(k0, h)
     W, eps = np.pad(W, 1), np.pad(eps, 1)
     iface, compact_row = np.pad(interface, 1), np.pad(~interface, 1)
@@ -171,11 +159,15 @@ def _assemble(grid: GridMultiD | Grid1D, k0: float, W: np.ndarray, eps: np.ndarr
     for j in (-1, 1):
         bands[j] = bands[j] + compact_row * (1.0 / (h * h) + k2W / 12.0)
     bands[1][0] = bands[-1][-1] = c
-    A = (term({0: compact_row * 1.0}, A_t)
-         + term({0: compact_row * -(k2W * h * h / 12.0)}, T2)
+    # ghost column eliminated through per-mode one-step propagation
+    boundary = (c * sp.csr_matrix(eig.propagation_matrix) + suite.laplacian
+                + (-2.0 * c + k0 * k0) * I_M)
+    A = (term({0: compact_row * 1.0}, suite.row_coupler)
+         + term({0: compact_row * -(k2W * h * h / 12.0)}, suite.compact_correction)
          + term(bands, I_M)
-         + term({0: iface * (6.0 * h / 11.0)}, T_L)
+         + term({0: iface * (6.0 * h / 11.0)}, suite.interface_laplacian)
          + term({0: edge * 1.0}, boundary))
+    compact = (10.0 / 12.0) * I_M - (h * h / 12.0) * suite.compact_correction
     c_off = compact_row * (k2eps / 12.0)
     C = (term({0: compact_row * k2eps}, compact)
          + term({-1: c_off, 0: iface * (6.0 * h * k0 * k0 * eps / 11.0), 1: c_off}, I_M))
@@ -200,14 +192,13 @@ def _forcing(grid: GridMultiD | Grid1D, k0: float, eig: TransverseEigensystem,
 class _Operator:
     """The part of a problem that its incoming beams do not change, shared by
     every live problem on an equal grid, material and pair of wall closures.
-    Built with the first such problem: the transverse suite and eigensystem,
-    the six transverse blocks and the per-row coefficients of
-    _material_rows. Built from them on first use, and kept: A_lin and C,
-    their real splits, the vacuum factor and the capacitance set-up. So
-    constructing a problem assembles nothing, and a solve on the mirror fold
-    assembles only its half section's. Nothing is changed in place once
-    built. It holds no reference to a problem, so reference counting alone
-    frees it with the last problem that holds it."""
+    Built with the first such problem: the transverse suite and eigensystem
+    and the per-row coefficients of _material_rows. Built from them on first
+    use, and kept: A_lin and C, their real splits, the vacuum factor and the
+    capacitance set-up. So constructing a problem assembles nothing, and a
+    solve on the mirror fold assembles only its half section's. Nothing is
+    changed in place once built. It holds no reference to a problem, so
+    reference counting alone frees it with the last problem that holds it."""
 
     def __init__(self, grid: GridMultiD | Grid1D, mat: MaterialStack,
                  bottom: TransverseClosure | None, top: TransverseClosure | None):
@@ -215,13 +206,12 @@ class _Operator:
         # looked up as module globals at call time, where a tracer may wrap them
         self.suite = build_transverse_suite(grid, mat.k0, bottom, top)
         self.eigensystem = eigensolve_transverse(self.suite.laplacian, mat.k0, grid.h_z)
-        self.blocks = _transverse_blocks(self.suite, self.eigensystem, mat.k0, grid.h_z)
         self.rows = _material_rows(grid, mat)
 
     @cached_property
     def assembled(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
         """(A_lin, C), from one _assemble call."""
-        return _assemble(self.grid, self.k0, *self.rows, self.blocks)
+        return _assemble(self.grid, self.k0, *self.rows, self.suite, self.eigensystem)
 
     @cached_property
     def real_split(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -236,7 +226,7 @@ class _Operator:
         kept copy would stay resident through Newton's later LUs."""
         n = self.grid.num_nodes - 2
         A0, _ = _assemble(self.grid, self.k0, np.ones(n), np.zeros(n),
-                          np.zeros(n, dtype=bool), self.blocks)
+                          np.zeros(n, dtype=bool), self.suite, self.eigensystem)
         return A0
 
     @cached_property
@@ -367,14 +357,17 @@ class HelmholtzProblem(KerrSystem):
     def _section_mirror(self) -> np.ndarray | None:
         """m <-> M-1-m within each row, kept only for a Cartesian section
         with even M (no node on the axis) whose half can carry its bottom
-        wall, and whose transverse blocks and boundary-row forcing are
-        invariant under it, which makes the assembled system invariant."""
-        grid, M = self.grid, self.grid.M
-        narrow = self.suite.bottom.kind == "radiation" and M // 2 < MIN_NODES_RADIATION
+        wall, and whose transverse operators (those _assemble reads) and
+        boundary-row forcing are invariant under it, which makes the
+        assembled system invariant."""
+        grid, M, suite = self.grid, self.grid.M, self.suite
+        narrow = suite.bottom.kind == "radiation" and M // 2 < MIN_NODES_RADIATION
         if grid.geometry != "cartesian" or M % 2 or narrow:
             return None
         flip = np.arange(M)[::-1]
-        parts = (*self._operator.blocks, self.b[:M], self.b[-M:])
+        parts = (suite.row_coupler, suite.compact_correction, suite.interface_laplacian,
+                 suite.laplacian, self.eigensystem.propagation_matrix,
+                 self.b[:M], self.b[-M:])
         if all(mirror_invariant(x, flip) for x in parts):
             return (np.arange(grid.num_nodes)[:, None] * M + flip).reshape(-1)
         return None

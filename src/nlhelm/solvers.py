@@ -345,18 +345,18 @@ class _LinearSolve:
 
 
 def _finish(problem: HelmholtzProblem, gather: np.ndarray | None, e: np.ndarray,
-            converged: bool, history: list[HistoryEntry], reason: str | None,
-            **counts):
-    """(field, SolveReport), e unfolded by gather unless that is None; counts
-    are the SolveReport's telemetry fields."""
+            history: list[HistoryEntry], reason: str | None, **counts):
+    """(field, SolveReport), e unfolded by gather unless that is None; a
+    reason of None means the run converged, and counts are the SolveReport's
+    telemetry fields."""
     if gather is not None:
         e = e[gather]
     report = SolveReport(
-        converged=converged,
+        converged=reason is None,
         iterations=len(history),
         history=history,
         max_amplitude=float(np.abs(e).max()) if e.size else 0.0,
-        divergence_reason=None if converged else reason,
+        divergence_reason=reason,
         mirror_folded=gather is not None,
         **counts,
     )
@@ -399,7 +399,6 @@ def newton_solve(problem: HelmholtzProblem, config: NewtonConfig | None = None):
                           else _SeparableFactor(inverse))
     history: list[HistoryEntry] = []
     reason = "MaxIter"
-    converged = False
     damped = False  # whether the previous step was; the first step is exact
     for _ in range(config.max_iterations):
         F = system.residual_complex(e)
@@ -422,22 +421,20 @@ def newton_solve(problem: HelmholtzProblem, config: NewtonConfig | None = None):
         e = e + t * delta
         history.append(HistoryEntry(step_norm, resid_norm, t * step_norm))
         if step_norm < config.convergence_tol and not linear.forced:
-            converged = True
+            reason = None
             break
-    return _finish(problem, gather, e, converged, history, reason,
-                   **linear.telemetry())
+    return _finish(problem, gather, e, history, reason, **linear.telemetry())
 
 
 def _frozen_iteration(system: KerrSystem, config: NewtonConfig, e: np.ndarray,
                       inner, exact: bool):
     """Fixed point of E <- inner(|E|^{2 sigma}, E) until the iterates stop
-    moving; (field, converged, history, reason) for _finish.
+    moving; (field, history, reason) for _finish, reason None once converged.
 
     inner(w, e) returns (x, None), or (field, reason) to stop with that
     field. With exact the first solve is the solution and ends the loop."""
     history: list[HistoryEntry] = []
     reason = "MaxIter"
-    converged = False
     for _ in range(config.max_iterations):
         w = system.kerr_weights(e)
         if not np.all(np.isfinite(w)):
@@ -452,12 +449,12 @@ def _frozen_iteration(system: KerrSystem, config: NewtonConfig, e: np.ndarray,
         e = x
         history.append(HistoryEntry(delta, resid_norm, delta))
         if exact or delta < config.convergence_tol:
-            converged = True
+            reason = None
             break
         if not np.isfinite(delta):
             reason = "NaN"
             break
-    return e, converged, history, reason
+    return e, history, reason
 
 
 def freezing_solve(problem: HelmholtzProblem, config: NewtonConfig | None = None):

@@ -629,10 +629,22 @@ class TestSolveCommand:
         # a 1d run is one column and would ignore them
         ({"M": 8}, "M: must be 1 for a 1d run, got 8"),
         ({"extent": 3.0}, "extent: must be null for a 1d run, got 3.0"),
+        # raised while the problem is built from the beams, stack and grid
+        ({"layers": [{"z_from": 0.0, "z_to": 2.51, "nu": 1.5, "eps": 0.0},
+                     {"z_from": 2.51, "z_to": 5.0, "nu": 1.0, "eps": 0.0}]},
+         "interface at z=2.51 does not lie on a grid node"),
+        ({"N": 8, "k0": 40.0}, "k^2 h^2 = 11.7739 >= 4: wave not resolved by the grid"),
+        ({**_MULTID, "geometry": "cylindrical", "extent": 0.2,
+          "beam_left": {"shape": "gaussian", "width": 0.1}},
+         "cylindrical radiation closure needs nu0*k0*Rmax >= 1, got 0.8"),
+        ({**_MULTID, "M": 48, "beam_left": {"shape": "gaussian", "width": 1.0,
+                                            "amplitude_re": math.nan}},
+         "left incoming profile must be finite"),
     ], ids=["layer-key", "Zmax", "beam-key", "1d-beam", "beam-shape", "no-shape",
             "custom-samples", "sample-null", "sample-true", "sample-pair",
             "sample-string", "cyl-tilt", "adjust-radicand", "stack-start", "k0-nan", "sigma-inf", "nu-nan", "eps-minus-inf", "z_to-inf",
-            "extent-inf", "1d-M", "1d-extent"])
+            "extent-inf", "1d-M", "1d-extent", "off-grid-interface", "unresolved",
+            "cyl-rim", "beam-nan"])
     def test_config_error_names_file_and_field(self, tmp_path, capsys, over, named):
         path, _ = write_config(tmp_path, **over)
         assert main(["solve", str(path)]) == 1
@@ -780,6 +792,24 @@ class TestCompareNlsCommand:
         path, _ = write_config(tmp_path)
         assert main(["compare-nls", str(path)]) == 1
         assert "multi-D" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("layers", [
+        [{"z_from": 0.0, "z_to": 1.0, "nu": 1.5, "eps": 0.0},
+         {"z_from": 1.0, "z_to": 2.0, "nu": 1.0, "eps": 0.2}],
+        [{"z_from": 0.0, "z_to": 2.0, "nu": 1.5, "eps": 0.0625}],
+    ], ids=["two-media", "nu-not-one"])
+    def test_stack_the_march_does_not_model_rejected(self, tmp_path, capsys, layers):
+        # nls_march models one medium with nu = 1; no linear or mismatched
+        # reference is passed off as the config's
+        path, _ = write_config(
+            tmp_path, name="cmp", geometry="cartesian", Zmax=2.0, N=30, extent=6.0,
+            M=60, layers=layers, beam_left={"shape": "sech", "r0": math.sqrt(2.0)})
+        assert main(["compare-nls", str(path)]) == 1
+        eps = layers[0]["eps"]
+        assert capsys.readouterr().err == (
+            f"error: {path}: layers: compare-nls needs nu = 1 and the first "
+            f"layer's eps = {eps:g} in every layer\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestArgumentParser:

@@ -477,11 +477,12 @@ class TestAssembledSystem:
 
 class TestSectionMirror:
     @staticmethod
-    def beam_problem(geometry="cartesian", M=56, bottom=None, **beam):
-        mat = MaterialStack(k0=K0, sigma=1.0, layers=(Layer(0.0, 4.0, 1.0, 0.0625),))
+    def beam_problem(geometry="cartesian", M=56, bottom=None, top=None,
+                     layers=(Layer(0.0, 4.0, 1.0, 0.0625),), **beam):
+        mat = MaterialStack(k0=K0, sigma=1.0, layers=layers)
         grid = quiet_grid(4.0, 32, 6.0, M, geometry)
         einc = make_incoming(BeamSpec(shape="sech", r0=math.sqrt(2.0), **beam), grid, mat)
-        return HelmholtzProblem(grid, mat, einc_left=einc, bottom=bottom)
+        return HelmholtzProblem(grid, mat, einc_left=einc, bottom=bottom, top=top)
 
     def test_centred_beam_is_mirror_symmetric(self):
         problem = self.beam_problem()
@@ -500,13 +501,20 @@ class TestSectionMirror:
     def test_no_mirror_unless_invariant(self, case):
         assert self.beam_problem(**case).mirror is None
 
+    # invariant cases: like walls, mirror-closed walls (read by every
+    # transverse operator), and an interior nu jump, which brings in
+    # interface rows and interface_laplacian
+    SYMMETRIC = [dict(), dict(bottom=SYM, top=SYM),
+                 dict(layers=(Layer(0.0, 2.0, 1.0, 0.0625), Layer(2.0, 4.0, 1.3, 0.0625)))]
+
     @pytest.mark.parametrize("case", [
-        dict(),
+        SYMMETRIC[0],
         dict(tilt_angle=0.1),
         dict(center=0.3),
         dict(geometry="cylindrical"),
         dict(M=55),
         dict(bottom=SYM),
+        *SYMMETRIC[1:],
     ])
     def test_block_decision_matches_assembled_system(self, case):
         # oracle: m <-> M-1-m applied to the assembled A_lin, C and b; odd M
@@ -520,7 +528,7 @@ class TestSectionMirror:
             assert np.array_equal(problem.mirror, mirror)
         else:
             assert problem.mirror is None
-        assert invariant == (case == {})
+        assert invariant == (case in self.SYMMETRIC)
 
     def test_slab_has_no_mirror(self):
         mat = MaterialStack(k0=K0, sigma=1.0, layers=(Layer(0.0, 5.0, 1.5, 0.0625),))
@@ -990,6 +998,14 @@ class TestLazyAssembly:
             problem.grid.num_nodes * problem.grid.M, problem.grid.field_shape)
         problem.has_kerr, problem.mirror
         assert assembled == []
+
+    @pytest.mark.parametrize("case", list(LAZY_CASES))
+    def test_operator_holds_only_its_inputs_before_first_use(self, case, assembled):
+        # until first use the operator holds what it was built from and
+        # nothing derived: _assemble reads the suite's operators by name
+        problem = LAZY_CASES[case]()
+        problem.has_kerr, problem.mirror
+        assert set(vars(problem._operator)) == {"grid", "k0", "suite", "eigensystem", "rows"}
 
     @pytest.mark.parametrize("use", [
         lambda p: p.A_lin,

@@ -1,5 +1,5 @@
 """Print one digest line per solve that the benchmark workloads make, and
-one per output file of three small `nlhelm solve` runs.
+one per output file of small `nlhelm` CLI runs on three configs.
 
     python3 tools/solve_digest.py [--seed N] [--fields DIR] [--against DIR] [--repeat K] > digest.txt
 
@@ -10,9 +10,11 @@ runs it. Every solvers.solve call prints
 
     <workload> <index> <sha256 of the field bytes> <sha256 of repr(report)>
 
-Then cli.main(["solve", ...]) runs, in a temporary directory, on a small 1D,
-a small Cartesian and a small cylindrical config (CLI_CONFIGS), and every
-output file but report.json, which holds the runtime, prints
+Then cli.main runs, in a temporary directory, `solve` and `converge
+--levels 2` on a small 1D, a small Cartesian and a small cylindrical config
+(CLI_CONFIGS), and `compare-nls` on the two multi-D ones, each config's runs
+writing to one output directory. Every output file but report.json, which
+holds the runtime, prints
 
     cli <config name> <file name> <sha256 of the file>
 
@@ -184,7 +186,7 @@ def _relative_difference(E, path: Path) -> float | None:
 
 
 def _digest_cli(emit) -> bool:
-    """emit one line per output file of `nlhelm solve` on each of
+    """emit one line per output file of the `nlhelm` subcommands on each of
     CLI_CONFIGS; returns whether every run converged (exit status 0)."""
     from nlhelm import cli
 
@@ -196,16 +198,21 @@ def _digest_cli(emit) -> bool:
             # the output directory is relative, as the config lands in
             # field.meta.json; the run's own message is not digested
             path.write_text(json.dumps({**cfg, "output_dir": cfg["name"]}))
+            commands = [["solve"], ["converge", "--levels", "2"]]
+            if cfg["geometry"] != "1d":
+                commands.append(["compare-nls"])
             cwd = os.getcwd()
             os.chdir(tmp)
             try:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = cli.main(["solve", str(path)])
+                for command in commands:
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        code = cli.main([*command, str(path)])
+                    if code != 0:
+                        print(f"cli {cfg['name']} {command[0]}: exit status {code}",
+                              file=sys.stderr)
+                        ok = False
             finally:
                 os.chdir(cwd)
-            if code != 0:
-                print(f"cli {cfg['name']}: exit status {code}", file=sys.stderr)
-                ok = False
             for file in sorted(out.iterdir()) if out.is_dir() else ():
                 if file.name != "report.json":
                     emit("cli", cfg["name"], file.name, _sha(file.read_bytes()))
