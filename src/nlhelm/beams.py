@@ -427,15 +427,10 @@ def interpolate_field(E: np.ndarray, grid_from, grid_to) -> np.ndarray:
 
 
 def _interp_rows(x: np.ndarray, xp: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Linear interpolation along axis 0 of the complex (len(xp), k) array F
-    at x: np.interp on the real and imaginary part of every column, with its
-    arithmetic (one slope per interval, flat beyond the end nodes)."""
-    if xp.size == 1:
-        return np.repeat(F[:1], x.size, axis=0)
-    f = np.ascontiguousarray(F).view(np.float64)
-    j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, xp.size - 2)
-    slope = (f[j + 1] - f[j]) / (xp[j + 1] - xp[j])[:, None]
-    out = slope * (x - xp[j])[:, None] + f[j]
-    out[x <= xp[0]] = f[0]
-    out[x >= xp[-1]] = f[-1]
-    return out.view(np.complex128)
+    """np.interp along axis 0 of the complex (len(xp), k) array F at x, on
+    the real and imaginary part of each column (flat beyond the end nodes)."""
+    out = np.empty((x.size, F.shape[1]), dtype=np.complex128)
+    for k in range(F.shape[1]):
+        out[:, k].real = np.interp(x, xp, F[:, k].real)
+        out[:, k].imag = np.interp(x, xp, F[:, k].imag)
+    return out

@@ -483,6 +483,8 @@ def compare_nls(config_path) -> int:
     cfg, source = load_config(config_path), str(config_path)
     if cfg.geometry == "1d" or cfg.beam_left is None:
         raise ConfigError(f"{source}: compare-nls needs a multi-D config with a left beam")
+    if cfg.beam_right is not None:
+        raise ConfigError(f"{source}: beam_right: compare-nls marches the left beam only")
     problem, grid, mat, solver_cfg = build_problem(cfg, source)
     # the paraxial model is one medium with nu = 1
     eps = mat.layers[0].eps

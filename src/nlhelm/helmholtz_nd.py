@@ -288,26 +288,16 @@ class _Operator:
         return correction
 
 
-# every live operator, keyed by (grid, material, bottom, top closure keys)
+# every live operator, keyed by (grid, material, bottom, top closure); the
+# closures, None for the default, compare and hash by value
 _OPERATORS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _closure_key(closure: TransverseClosure | None):
-    """A closure as part of a dict key: the ndarray block, which does not
-    hash, by its shape and complex bytes. None (the default) stays None."""
-    if closure is None:
-        return None
-    if closure.block is None:
-        return closure.kind, None
-    block = np.asarray(closure.block, dtype=np.complex128)
-    return closure.kind, block.shape, block.tobytes()
 
 
 def _operator(grid: GridMultiD | Grid1D, mat: MaterialStack,
               bottom: TransverseClosure | None,
               top: TransverseClosure | None) -> _Operator:
     """The live operator for this key, built if there is none."""
-    key = (grid, mat, _closure_key(bottom), _closure_key(top))
+    key = (grid, mat, bottom, top)
     op = _OPERATORS.get(key)
     if op is None:
         op = _OPERATORS[key] = _Operator(grid, mat, bottom, top)

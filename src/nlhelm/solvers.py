@@ -355,7 +355,7 @@ def _finish(problem: HelmholtzProblem, gather: np.ndarray | None, e: np.ndarray,
         converged=reason is None,
         iterations=len(history),
         history=history,
-        max_amplitude=float(np.abs(e).max()) if e.size else 0.0,
+        max_amplitude=float(np.abs(e).max()),
         divergence_reason=reason,
         mirror_folded=gather is not None,
         **counts,

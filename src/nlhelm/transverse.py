@@ -64,17 +64,23 @@ class TransverseClosure:
     wall rows are (E_{-2}, E_{-1}) against columns (E_0, E_1, E_2).
     ``block`` is None for the symmetric closure, which is resolved by pure
     index reflection (this also covers very small sections where reflected
-    indices bounce off both walls).
+    indices bounce off both walls). A block is stored as two rows of three
+    complex numbers, so closures compare and hash by value.
     """
 
     kind: str  # "symmetric" | "radiation"
-    block: np.ndarray | None = None
+    block: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in ("symmetric", "radiation"):
             raise ValueError(f"unknown closure kind {self.kind!r}")
         if (self.block is None) != (self.kind == "symmetric"):
             raise ValueError("closure block must be given exactly for radiation kind")
+        if self.block is not None:
+            block = np.asarray(self.block, dtype=np.complex128)
+            if block.shape != (2, 3) or not np.isfinite(block).all():
+                raise ValueError(f"closure block must be a finite 2x3 matrix, got {block.shape}")
+            object.__setattr__(self, "block", tuple(map(tuple, block.tolist())))
 
 
 def symmetric_closure() -> TransverseClosure:

@@ -811,6 +811,19 @@ class TestCompareNlsCommand:
             f"layer's eps = {eps:g} in every layer\n")
         assert not (tmp_path / "out").exists()
 
+    def test_right_beam_rejected(self, tmp_path, capsys):
+        # nls_march starts from the left beam only, so a second beam would
+        # leave the reference describing another problem
+        beam = {"shape": "sech", "r0": math.sqrt(2.0)}
+        path, _ = write_config(
+            tmp_path, name="cmp", geometry="cartesian", Zmax=2.0, N=30, extent=6.0,
+            M=60, layers=[{"z_from": 0.0, "z_to": 2.0, "nu": 1.0, "eps": 0.0625}],
+            beam_left=beam, beam_right=beam)
+        assert main(["compare-nls", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: beam_right: compare-nls marches the left beam only\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestArgumentParser:
     def test_subcommand_required(self):

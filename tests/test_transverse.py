@@ -85,6 +85,25 @@ class TestClosures:
         with pytest.raises(ValueError):
             radiation_closure(1j * K0, -0.1, "top")
 
+    @pytest.mark.parametrize("block", [
+        np.ones(3), np.ones((3, 3)), np.ones((2, 4)), np.ones((2, 2)),
+        np.full((2, 3), np.nan),
+    ], ids=["row", "3x3", "2x4", "2x2", "nan"])
+    def test_malformed_block_rejected(self, block):
+        # extension_matrix would copy a single row into both ghost rows and
+        # drop a 3x3 block's third row, so construction checks the shape
+        with pytest.raises(ValueError, match="finite 2x3 matrix"):
+            TransverseClosure(kind="radiation", block=block)
+
+    def test_closures_compare_and_hash_by_value(self):
+        # the shared operator table keys by the closures themselves
+        a = radiation_closure(4j, 0.25, "top")
+        b = radiation_closure(4j, 0.25, "top")
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != radiation_closure(4j, 0.25, "bottom")
+        assert symmetric_closure() == symmetric_closure()
+
     @pytest.mark.parametrize("side", ["top", "bottom"])
     def test_radiation_ghosts_fourth_order(self, side):
         # ghost predictions for the exact outgoing exponential converge at
